@@ -46,10 +46,7 @@ import numpy as np
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.serving import DDIScreeningService, LatencyWindow, ScreeningGateway
-
-
-def _hits(results) -> list[list[tuple[int, float]]]:
-    return [[(h.index, h.probability) for h in hits] for hits in results]
+from _common import ranks
 
 
 def build_service(num_drugs: int, hidden_dim: int, seed: int):
@@ -106,7 +103,7 @@ def check_parity(corpus, service, seed: int, failures: list[str]) -> int:
     for label, specs in compositions.items():
         expected = [service.screen(q, top_k=k, exclude=e, symmetric=s)
                     for q, k, e, s in specs]
-        if _hits(screens(specs)) != _hits(expected):
+        if ranks(screens(specs)) != ranks(expected):
             failures.append(f"gateway parity: {label} flush diverges "
                             f"from serial screen")
 
@@ -127,7 +124,7 @@ def check_parity(corpus, service, seed: int, failures: list[str]) -> int:
                 gateway.screen_smiles(corpus[3], top_k=4))
 
     out = asyncio.run(mixed())
-    if _hits(out[:2]) != _hits(expected_screens):
+    if ranks(out[:2]) != ranks(expected_screens):
         failures.append("gateway parity: screens in a kind-mixed flush "
                         "diverge from serial")
     coalesced = np.concatenate(out[2:4])
@@ -139,7 +136,7 @@ def check_parity(corpus, service, seed: int, failures: list[str]) -> int:
     if not np.allclose(coalesced, serial_pairs, rtol=1e-12, atol=0):
         failures.append("gateway parity: coalesced score_pairs not "
                         "allclose to per-request serial calls")
-    if _hits([out[4]]) != _hits([expected_smiles]):
+    if ranks([out[4]]) != ranks([expected_smiles]):
         failures.append("gateway parity: screen_smiles in a kind-mixed "
                         "flush diverges from serial")
     return len(compositions) + 1
@@ -171,7 +168,7 @@ async def _closed_loop(gateway, expected: dict, clients: int,
     await asyncio.gather(*[one(c) for c in range(clients)])
     elapsed = time.perf_counter() - start
     for key, hits in received:
-        if _hits([hits]) != _hits([expected[key]]):
+        if ranks([hits]) != ranks([expected[key]]):
             failures.append(f"{label}: response for query={key[0]} "
                             f"top_k={key[1]} diverges from serial")
             break

@@ -39,11 +39,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 import tempfile
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,28 +50,7 @@ from repro.core import HyGNN, HyGNNConfig
 from repro.core.decoder import MLPDecoder, make_screen_kernel
 from repro.serving import (DDIScreeningService, ParallelShardExecutor,
                            ShardStore, exact_score_fn)
-
-
-def _timeit(fn, repeats: int) -> float:
-    """Median seconds per call over ``repeats`` timed runs (1 warmup)."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-def _peak_bytes(fn) -> int:
-    """Peak traced allocation while running ``fn`` once."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+from _common import peak_memory, ranks, time_of
 
 
 def _rss_kb() -> int | None:
@@ -87,10 +63,6 @@ def _rss_kb() -> int | None:
     except OSError:
         pass
     return None
-
-
-def _hits(results) -> list[list[tuple[int, float]]]:
-    return [[(h.index, h.probability) for h in hits] for hits in results]
 
 
 def check_service_parity(num_drugs: int, hidden_dim: int, top_k: int,
@@ -108,9 +80,9 @@ def check_service_parity(num_drugs: int, hidden_dim: int, top_k: int,
     queries = [int(q) for q in
                rng.choice(num_drugs, size=min(8, num_drugs), replace=False)]
     exclude = (int(rng.integers(num_drugs)), int(rng.integers(num_drugs)))
-    reference = _hits(service.screen_batch(queries, top_k=top_k,
+    reference = ranks(service.screen_batch(queries, top_k=top_k,
                                            exclude=exclude))
-    ref_single = _hits([service.screen(queries[0], top_k=top_k,
+    ref_single = ranks([service.screen(queries[0], top_k=top_k,
                                        symmetric=True)])[0]
 
     plans = [(1, 64, 2), (3, 37, 2), (5, 17, max_workers),
@@ -125,18 +97,18 @@ def check_service_parity(num_drugs: int, hidden_dim: int, top_k: int,
             service.block_size = block_size
             label = (f"shards={num_shards}, block={block_size}, "
                      f"workers={workers}")
-            mapped = _hits(service.screen_batch(queries, top_k=top_k,
+            mapped = ranks(service.screen_batch(queries, top_k=top_k,
                                                 exclude=exclude,
                                                 parallel=False))
             if mapped != reference:
                 failures.append(f"mmap serial diverges ({label})")
             if workers > 1:
-                parallel = _hits(service.screen_batch(queries, top_k=top_k,
+                parallel = ranks(service.screen_batch(queries, top_k=top_k,
                                                       exclude=exclude,
                                                       parallel=True))
                 if parallel != reference:
                     failures.append(f"process pool diverges ({label})")
-                single = _hits([service.screen(queries[0], top_k=top_k,
+                single = ranks([service.screen(queries[0], top_k=top_k,
                                                symmetric=True,
                                                parallel=True)])[0]
                 if single != ref_single:
@@ -203,7 +175,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, store_rows: int,
         def serial_screen():
             return catalog.screen(score, num_queries, top_k)
 
-        mmap_peak = _peak_bytes(serial_screen)
+        mmap_peak = peak_memory(serial_screen)
         if mmap_peak >= store.nbytes() / 10:
             failures.append(
                 f"mmap screen peak {mmap_peak / 1e6:.2f} MB not < 1/10 of "
@@ -218,8 +190,8 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, store_rows: int,
         if _hits_raw(parallel_screen()) != _hits_raw(serial_screen()):
             failures.append("executor results diverge from the serial "
                             "mmap engine on the synthetic store")
-        serial_s = _timeit(serial_screen, repeats)
-        parallel_s = _timeit(parallel_screen, repeats)
+        serial_s = time_of(serial_screen, repeats)
+        parallel_s = time_of(parallel_screen, repeats)
         executor.close()
         speedup = serial_s / parallel_s
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import tempfile
 import time
@@ -44,17 +43,7 @@ import numpy as np
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.serving import DDIScreeningService, ShardStore, rank_agreement
-
-def _timeit(fn, repeats: int) -> float:
-    """Median seconds per call over ``repeats`` timed runs (1 warmup)."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
+from _common import time_of
 
 def _index_lists(batch_hits) -> list[list[int]]:
     return [[h.index for h in hits] for hits in batch_hits]
@@ -94,7 +83,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
                                 auto_refresh=False)
     print("encoding float64 reference cache ...", flush=True)
     reference = _index_lists(exact.screen_batch(queries, top_k=top_k))
-    f64_s = _timeit(lambda: exact.screen_batch(queries, top_k=top_k),
+    f64_s = time_of(lambda: exact.screen_batch(queries, top_k=top_k),
                     repeats)
 
     # ------------------------------------------------------------------
@@ -105,7 +94,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
                               auto_refresh=False)
     print("encoding float32 serving cache ...", flush=True)
     f32_hits = _index_lists(low.screen_batch(queries, top_k=top_k))
-    f32_s = _timeit(lambda: low.screen_batch(queries, top_k=top_k), repeats)
+    f32_s = time_of(lambda: low.screen_batch(queries, top_k=top_k), repeats)
     f32_speedup = f64_s / f32_s
     f32_agreement = _mean_agreement(reference, f32_hits)
     if f32_speedup < min_f32_speedup:
@@ -123,7 +112,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
     # float64 reference ranking.
     approx_hits = _index_lists(low.screen_batch(
         queries, top_k=top_k, approx=True, approx_oversample=oversample))
-    approx_s = _timeit(
+    approx_s = time_of(
         lambda: low.screen_batch(queries, top_k=top_k, approx=True,
                                  approx_oversample=oversample), repeats)
     approx_speedup = f64_s / approx_s
@@ -151,7 +140,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
             failures.append("int8 store failed to attach")
         int8_hits = _index_lists(low.screen_batch(
             queries, top_k=top_k, approx=True, approx_oversample=oversample))
-        int8_s = _timeit(
+        int8_s = time_of(
             lambda: low.screen_batch(queries, top_k=top_k, approx=True,
                                      approx_oversample=oversample),
             repeats)

@@ -44,21 +44,7 @@ import numpy as np
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.serving import (DDIScreeningService, FaultPolicy, ShardWorker)
-
-
-def _timeit(fn, repeats: int) -> float:
-    """Median seconds per call over ``repeats`` timed runs (1 warmup)."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-def _hits(results) -> list[list[tuple[int, float]]]:
-    return [[(h.index, h.probability) for h in hits] for hits in results]
+from _common import ranks, time_of
 
 
 def _dead_addresses(count: int) -> list[tuple[str, int]]:
@@ -87,7 +73,7 @@ def _check_fault_schedules(service, manifest, queries, top_k, reference,
                                     breaker_threshold=10)
             try:
                 start = time.perf_counter()
-                got = _hits(service.screen_batch(queries, top_k=top_k))
+                got = ranks(service.screen_batch(queries, top_k=top_k))
                 faulted_s.append(time.perf_counter() - start)
                 stats = dict(service.remote.stats)
             finally:
@@ -104,7 +90,7 @@ def _check_fault_schedules(service, manifest, queries, top_k, reference,
     service.connect_workers(_dead_addresses(2), timeout_s=0.3,
                             backoff_base_s=0.002)
     try:
-        got = _hits(service.screen_batch(queries, top_k=top_k))
+        got = ranks(service.screen_batch(queries, top_k=top_k))
         stats = dict(service.remote.stats)
     finally:
         service.disconnect_workers()
@@ -143,9 +129,9 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
             return _report(failures, {})
         queries = [int(q) for q in rng.choice(
             num_drugs, size=min(8, num_drugs), replace=False)]
-        reference = _hits(service.screen_batch(queries, top_k=top_k,
+        reference = ranks(service.screen_batch(queries, top_k=top_k,
                                                parallel=False))
-        serial_s = _timeit(
+        serial_s = time_of(
             lambda: service.screen_batch(queries, top_k=top_k,
                                          parallel=False), repeats)
 
@@ -156,11 +142,11 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
                    for _ in range(num_workers)]
         try:
             service.connect_workers(workers, backoff_base_s=0.002)
-            remote = _hits(service.screen_batch(queries, top_k=top_k))
+            remote = ranks(service.screen_batch(queries, top_k=top_k))
             if remote != reference:
                 failures.append("remote screen diverges from the serial "
                                 "in-memory engine")
-            remote_s = _timeit(
+            remote_s = time_of(
                 lambda: service.screen_batch(queries, top_k=top_k), repeats)
             health = service.remote.probe_health()
             if any(meta is None for meta in health.values()):
@@ -186,7 +172,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
         start = time.perf_counter()
         cold = DDIScreeningService.from_store(manifest, context)
         boot_s = time.perf_counter() - start
-        cold_hits = _hits(cold.screen_batch(queries, top_k=top_k))
+        cold_hits = ranks(cold.screen_batch(queries, top_k=top_k))
         if cold_hits != reference:
             failures.append("cold-booted service diverges from the warm "
                             "service that wrote the store")

@@ -43,38 +43,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.serving import DDIScreeningService
-
-
-def _timeit(fn, repeats: int) -> float:
-    """Median seconds per call over ``repeats`` timed runs (1 warmup)."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-def _peak_bytes(fn) -> int:
-    """Peak traced allocation while running ``fn`` once."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+from _common import peak_memory, time_of
 
 
 def legacy_screen(service: DDIScreeningService, query: int,
@@ -121,8 +98,8 @@ def run(num_drugs: int, top_k: int, block_size: int, hidden_dim: int,
     # ------------------------------------------------------------------
     # 1+2: speed and parity, MLP decoder (the paper's best variant)
     # ------------------------------------------------------------------
-    legacy_s = _timeit(lambda: legacy_screen(service, query, top_k), repeats)
-    engine_s = _timeit(lambda: service.screen(query, top_k=top_k), repeats)
+    legacy_s = time_of(lambda: legacy_screen(service, query, top_k), repeats)
+    engine_s = time_of(lambda: service.screen(query, top_k=top_k), repeats)
     speedup = legacy_s / engine_s
 
     legacy_hits = legacy_screen(service, query, top_k)
@@ -149,15 +126,15 @@ def run(num_drugs: int, top_k: int, block_size: int, hidden_dim: int,
     singles = [service.screen(int(q), top_k=top_k) for q in batch]
     if [_hit_list(h) for h in batched] != [_hit_list(h) for h in singles]:
         failures.append("screen_batch diverges from per-query screens")
-    batch_each_s = _timeit(lambda: service.screen_batch(list(batch),
+    batch_each_s = time_of(lambda: service.screen_batch(list(batch),
                                                         top_k=top_k),
                            max(3, repeats // 4)) / len(batch)
 
     # ------------------------------------------------------------------
     # 4: peak scoring memory
     # ------------------------------------------------------------------
-    legacy_peak = _peak_bytes(lambda: legacy_screen(service, query, top_k))
-    engine_peak = _peak_bytes(lambda: service.screen(query, top_k=top_k))
+    legacy_peak = peak_memory(lambda: legacy_screen(service, query, top_k))
+    engine_peak = peak_memory(lambda: service.screen(query, top_k=top_k))
     concat_bytes = num_drugs * 2 * hidden_dim * 8
     if engine_peak >= legacy_peak / 3:
         failures.append(f"engine peak {engine_peak / 1e6:.2f} MB not < 1/3 "
@@ -180,9 +157,9 @@ def run(num_drugs: int, top_k: int, block_size: int, hidden_dim: int,
     if dot_engine != dot_legacy:
         failures.append("dot-decoder engine is not bitwise-identical to "
                         "the legacy path")
-    dot_exact_s = _timeit(lambda: dot_service.screen(query, top_k=top_k),
+    dot_exact_s = time_of(lambda: dot_service.screen(query, top_k=top_k),
                           repeats)
-    dot_approx_s = _timeit(lambda: dot_service.screen(query, top_k=top_k,
+    dot_approx_s = time_of(lambda: dot_service.screen(query, top_k=top_k,
                                                       approx=True), repeats)
     approx_hits = _hit_list(dot_service.screen(query, top_k=top_k,
                                                approx=True))
@@ -202,8 +179,8 @@ def run(num_drugs: int, top_k: int, block_size: int, hidden_dim: int,
                                      block_size=block_size)
         narrow.screen(query, top_k=top_k)
         narrow_speedup = (
-            _timeit(lambda: legacy_screen(narrow, query, top_k), repeats)
-            / _timeit(lambda: narrow.screen(query, top_k=top_k), repeats))
+            time_of(lambda: legacy_screen(narrow, query, top_k), repeats)
+            / time_of(lambda: narrow.screen(query, top_k=top_k), repeats))
 
     width = 52
     print()

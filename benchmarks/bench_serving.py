@@ -20,7 +20,6 @@ run it as a regression gate:
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
 
@@ -29,17 +28,7 @@ import numpy as np
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.serving import DDIScreeningService
-
-
-def _timeit(fn, repeats: int) -> float:
-    """Median seconds per call over ``repeats`` timed runs (1 warmup)."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+from _common import time_of
 
 
 def run(num_drugs: int, num_pairs: int, repeats: int, min_speedup: float,
@@ -55,8 +44,8 @@ def run(num_drugs: int, num_pairs: int, repeats: int, min_speedup: float,
     pairs = rng.integers(0, num_drugs, size=(num_pairs, 2))
 
     print(f"hypergraph: {hypergraph}")
-    naive_s = _timeit(lambda: model.predict_proba(hypergraph, pairs), repeats)
-    served_s = _timeit(lambda: service.score_pairs(pairs), repeats)
+    naive_s = time_of(lambda: model.predict_proba(hypergraph, pairs), repeats)
+    served_s = time_of(lambda: service.score_pairs(pairs), repeats)
     speedup = naive_s / served_s
 
     parity = float(np.abs(model.predict_proba(hypergraph, pairs)
@@ -68,7 +57,7 @@ def run(num_drugs: int, num_pairs: int, repeats: int, min_speedup: float,
     service.register_drug(new_drug, drug_id="bench_candidate",
                           allow_unknown=True)
     register_s = time.perf_counter() - start
-    screen_s = _timeit(lambda: service.screen("bench_candidate", top_k=10),
+    screen_s = time_of(lambda: service.screen("bench_candidate", top_k=10),
                        max(3, repeats // 2))
 
     width = 44

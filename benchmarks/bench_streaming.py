@@ -62,6 +62,7 @@ from repro.serving import (CrashPoint, CrashPolicy, DDIScreeningService,
                            ScreeningGateway, ShardedEmbeddingCatalog,
                            ShardStore, exact_score_fn)
 from repro.serving.store import JOURNAL_NAME
+from _common import ranks
 
 
 def _crc(path: Path) -> int:
@@ -72,10 +73,6 @@ def _file_states(root: Path) -> dict:
     """(mtime_ns, CRC) of every data file — the byte-identity witness."""
     return {p.name: (p.stat().st_mtime_ns, _crc(p))
             for p in root.glob("*.npy")}
-
-
-def _hits(results) -> list[list[tuple[int, float]]]:
-    return [[(h.index, h.probability) for h in hits] for hits in results]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ async def _streaming_phase(service, twin, extras, queries, top_k, clients):
 
     def snapshot_refs():
         for q in queries:
-            valid[q].append(_hits([twin.screen(q, top_k=top_k)])[0])
+            valid[q].append(ranks([twin.screen(q, top_k=top_k)])[0])
 
     snapshot_refs()
     responses, progress, done, stop = [], [], [0], [False]
@@ -196,7 +193,7 @@ async def _streaming_phase(service, twin, extras, queries, top_k, clients):
             while not stop[0]:
                 q = queries[(cid * 7 + i * 3) % len(queries)]
                 hits = await gateway.screen(q, top_k=top_k)
-                responses.append((q, _hits([hits])[0]))
+                responses.append((q, ranks([hits])[0]))
                 done[0] += 1
                 i += 1
 
@@ -231,7 +228,7 @@ def gate_streaming(num_drugs: int, hidden_dim: int, clients: int,
         rng = np.random.default_rng(seed)
         queries = [int(q) for q in
                    rng.choice(num_drugs, size=8, replace=False)]
-        before_hits = _hits([service.screen(q, top_k=top_k)
+        before_hits = ranks([service.screen(q, top_k=top_k)
                              for q in queries])
 
         # The stall unit: what one full-catalog re-encode costs.  An
@@ -292,12 +289,12 @@ def gate_streaming(num_drugs: int, hidden_dim: int, clients: int,
         # restores the pre-registration screens bitwise.
         service.compact_shards()
         keys = queries + [f"new-{j}" for j in range(registrations)]
-        if _hits([service.screen(k, top_k=top_k) for k in keys]) != \
-                _hits([twin.screen(k, top_k=top_k) for k in keys]):
+        if ranks([service.screen(k, top_k=top_k) for k in keys]) != \
+                ranks([twin.screen(k, top_k=top_k) for k in keys]):
             failures.append("screens diverge from the serial twin after "
                             "compaction")
         service.rollback_catalog(0)
-        if _hits([service.screen(q, top_k=top_k)
+        if ranks([service.screen(q, top_k=top_k)
                   for q in queries]) != before_hits:
             failures.append("rollback to v0 does not restore the "
                             "pre-registration screens bitwise")

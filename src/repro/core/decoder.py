@@ -455,6 +455,15 @@ class DotDecoder(_ScratchMixin, Module):
                     scratch[:len(block)].sum(axis=1)
         return out
 
+    def score_rows(self, query_proj: dict[str, np.ndarray],
+                   cand_rows: dict[str, np.ndarray],
+                   reverse: bool = False) -> np.ndarray:
+        """``(Q, K)`` logits of each query against its own ``(Q, K, d)``
+        gathered rows: the per-row product and pairwise ``sum`` of
+        :meth:`score_block`, so the logits are bitwise equal."""
+        queries = query_proj["emb"]
+        return (cand_rows["emb"] * queries[:, None, :]).sum(axis=-1)
+
     def prefilter_block(self, query_proj: dict[str, np.ndarray],
                         cand_proj: dict[str, np.ndarray]) -> np.ndarray:
         """Approximate-mode scores: one ``(B, d) @ (d, nq)`` GEMM per block.
@@ -469,11 +478,12 @@ class DotDecoder(_ScratchMixin, Module):
 class _PicklableKernel(_ScratchMixin):
     """Weight-free screening kernel, safe to ship to worker processes.
 
-    ``score_block`` / ``prefilter_block`` read **only** the precomputed
-    query- and candidate-side projections handed to them — never live
-    decoder weights — so a kernel owns no state beyond reusable scratch
-    buffers.  Pickling drops the scratch (workers rebuild it lazily),
-    which keeps the payload sent per screening task a few bytes.
+    ``score_block`` / ``score_rows`` / ``prefilter_block`` read **only**
+    the precomputed query- and candidate-side projections handed to them
+    — never live decoder weights — so a kernel owns no state beyond
+    reusable scratch buffers.  Pickling drops the scratch (workers
+    rebuild it lazily), which keeps the payload sent per screening task a
+    few bytes.
 
     The ``score_block`` implementations are the *same function objects*
     as the decoders' (assigned, not reimplemented), so a worker scoring a
@@ -502,6 +512,7 @@ class DotScreenKernel(_PicklableKernel):
     supports_prefilter = DotDecoder.supports_prefilter
     needs_sketch = DotDecoder.needs_sketch
     score_block = DotDecoder.score_block
+    score_rows = DotDecoder.score_rows
     prefilter_block = DotDecoder.prefilter_block
 
 

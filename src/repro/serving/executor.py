@@ -15,11 +15,12 @@ bitwise-identical to the serial in-memory engine:
   kilobytes per screen.
 - Every worker runs :func:`repro.serving.shards.screen_shard` — the same
   function the serial engine runs over its in-memory views — so per-shard
-  results are bitwise-equal by construction, and the parent's
-  :func:`~repro.serving.shards.finalize_screen` reduce (merge under the
-  total (score desc, index asc) order, exclusion filter, truncate) is the
-  same code in both plans.  ``Pool.map`` preserves shard order, so the
-  merge sees shards in exactly the serial order.
+  results are bitwise-equal by construction, and the parent wraps them in
+  the engine's :func:`~repro.serving.shards.padded_screen` envelope
+  (padded budgets, then merge under the total (score desc, index asc)
+  order, exclusion filter, truncate) — the same code in every plan.
+  ``Pool.map`` preserves shard order, so the merge sees shards in exactly
+  the serial order.
 
 The pool prefers the ``fork`` start method when the platform offers it
 (workers inherit the imported interpreter; startup is milliseconds) and
@@ -50,8 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..nn.functional import stable_sigmoid
-from .shards import (finalize_screen, normalize_exclude, normalize_top_k,
-                     screen_shard)
+from .shards import padded_screen, screen_shard
 from .store import ShardStore
 
 
@@ -71,6 +71,21 @@ def exact_score_fn(kernel, query_proj: dict,
                 kernel.score_block(query_proj, proj_block, reverse=True)))
         return probs
     return exact_probs
+
+
+def screen_store_shard(store: ShardStore, shard_id: int, block_size: int,
+                       kernel, query_proj: dict, two_sided: bool,
+                       num_queries: int, padded: Sequence[int]
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The exact per-shard stage over one stored shard.
+
+    Pool workers, the pool's serial fallback, remote workers and the
+    remote client's local fallback all run this, so whichever placement
+    answered is invisible in the results.
+    """
+    return screen_shard(store.open_shard(shard_id), block_size,
+                        exact_score_fn(kernel, query_proj, two_sided),
+                        num_queries, padded)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +110,7 @@ def _init_worker(manifest_path: str, mmap_mode: str | None) -> None:
 
 def _screen_shard_task(task: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
     """One unit of pool work: stream one memory-mapped shard's top-k."""
-    shard_id, block_size, kernel, query_proj, two_sided, num_queries, \
-        padded = task
-    shard = _WORKER_STORE.open_shard(shard_id)
-    score = exact_score_fn(kernel, query_proj, two_sided)
-    return screen_shard(shard, block_size, score, num_queries, padded)
+    return screen_store_shard(_WORKER_STORE, *task)
 
 
 class ParallelShardExecutor:
@@ -169,15 +180,12 @@ class ParallelShardExecutor:
         be one shared budget or a per-query sequence.
         """
         block_size = block_size or self._store.block_size
-        top_ks = normalize_top_k(top_k, num_queries)
-        excludes = normalize_exclude(exclude, num_queries)
-        padded = [k + e.size if k > 0 else 0
-                  for k, e in zip(top_ks, excludes)]
-        tasks = [(shard_id, block_size, kernel, query_proj, two_sided,
-                  num_queries, padded)
-                 for shard_id in range(self._store.num_shards)]
-        per_shard = self._run_tasks(tasks)
-        return finalize_screen(per_shard, padded, excludes, top_ks)
+        return padded_screen(
+            num_queries, top_k, exclude,
+            lambda padded: self._run_tasks([
+                (shard_id, block_size, kernel, query_proj, two_sided,
+                 num_queries, padded)
+                for shard_id in range(self._store.num_shards)]))
 
     def _run_tasks(self, tasks: list[tuple]
                    ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -198,14 +206,7 @@ class ParallelShardExecutor:
                 if round_index == 0:
                     self.stats["pool_rebuilds"] += 1
         self.stats["serial_fallbacks"] += 1
-        per_shard = []
-        for (shard_id, block_size, kernel, query_proj, two_sided,
-             num_queries, padded) in tasks:
-            score = exact_score_fn(kernel, query_proj, two_sided)
-            per_shard.append(screen_shard(
-                self._store.open_shard(shard_id), block_size, score,
-                num_queries, padded))
-        return per_shard
+        return [screen_store_shard(self._store, *task) for task in tasks]
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -223,9 +224,5 @@ class ParallelShardExecutor:
     def __del__(self):
         # Best-effort cleanup if close() was never called; don't wait
         # because __del__ may run at interpreter shutdown.
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+        if getattr(self, "_pool", None) is not None:
+            self._discard_pool()

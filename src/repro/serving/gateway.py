@@ -19,13 +19,17 @@ turns one into the other:
    the concatenated pair lists — then fans the per-request results back
    out through the futures.
 
-Because the engine keeps an independent accumulator per query and projects
-query rows individually, a screen answered inside a coalesced flush is
-**bitwise-identical** to the same call made serially — including flushes
-that mix different ``top_k`` values or exclusion lists.  Coalesced
-``score_pairs`` results equal one vectorized call over the combined batch
-(BLAS may batch GEMM rows differently than a serial per-request call;
-differences, when any, are last-ulp).
+Because the engine selects and reduces every query independently and
+projects query rows individually, a catalog ``screen`` answered inside a
+coalesced flush is **bitwise-identical** to the same call made serially —
+including flushes that mix different ``top_k`` values or exclusion lists.
+Two coalesced calls are not bitwise the serial ones: ``screen_smiles``
+encodes the flush's molecules in one ``encode_edges_subset`` call, whose
+dense layers round a multi-row batch differently from a single row (BLAS
+gemm vs gemv), and ``score_pairs`` equals one vectorized call over the
+combined batch.  Both differ from serial calls, when at all, in the last
+ulp of a probability — and a ranking only where that reorders a
+near-tie.
 
 Operational controls:
 

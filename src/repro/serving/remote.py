@@ -11,8 +11,9 @@ bigger than one machine", shaped like DGL's distributed serving stack
   and answers per-shard ``screen`` requests plus ``health``/``manifest``
   probes.  Workers hold no model weights: requests carry the weight-free
   kernel *kind* and the precomputed query projections, and every worker
-  runs the same :func:`~repro.serving.shards.screen_shard` the serial
-  engine runs, so per-shard results are bitwise-equal by construction.
+  runs the same :func:`~repro.serving.executor.screen_store_shard` stage
+  as the other placements, so per-shard results are bitwise-equal by
+  construction.
 - :class:`RemoteShardExecutor` — the client-side mirror of
   :class:`~repro.serving.executor.ParallelShardExecutor`: per-shard
   fan-out over worker connections with per-request timeouts, bounded
@@ -23,8 +24,8 @@ bigger than one machine", shaped like DGL's distributed serving stack
   merged results are **bitwise-identical** to the serial in-memory engine
   under any fault schedule, because every path (every worker, and the
   local fallback) scores the same shard bytes with the same kernel and
-  the reduce is the engine's deterministic
-  :func:`~repro.serving.shards.finalize_screen`.
+  the envelope around them is the engine's deterministic
+  :func:`~repro.serving.shards.padded_screen`.
 
 Wire format (no third-party deps): each frame is a 4-byte big-endian
 header length, a JSON header, and the raw C-order bytes of each array the
@@ -56,10 +57,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.decoder import kernel_kind, make_kernel
-from .executor import exact_score_fn
+from .executor import screen_store_shard
 from .faults import FaultInjected, FaultPolicy, corrupt_payload
-from .shards import (finalize_screen, normalize_exclude, normalize_top_k,
-                     screen_shard, validate_shard_results)
+from .shards import padded_screen, validate_shard_results
 from .store import ShardStore
 
 _HEADER_STRUCT = struct.Struct("!I")
@@ -357,12 +357,10 @@ class ShardWorker:
                 return True
         num_queries = int(meta["num_queries"])
         padded = [int(k) for k in meta["padded"]]
-        kernel = make_kernel(str(meta["kernel"]))
-        query_proj = _unflatten_arrays(arrays)
-        score = exact_score_fn(kernel, query_proj, bool(meta["two_sided"]))
-        results = screen_shard(self.store.open_shard(shard),
-                               int(meta["block_size"]), score,
-                               num_queries, padded)
+        results = screen_store_shard(
+            self.store, shard, int(meta["block_size"]),
+            make_kernel(str(meta["kernel"])), _unflatten_arrays(arrays),
+            bool(meta["two_sided"]), num_queries, padded)
         out = {}
         for qi, (indices, scores) in enumerate(results):
             out[f"idx_{qi}"] = indices
@@ -477,8 +475,7 @@ class _Endpoint:
 class _ScreenCall:
     """Everything one screen fans out: shared by every shard task."""
 
-    kernel: object             # the local kernel object (for the fallback)
-    kind: str                  # its wire name
+    kind: str                  # the screening kernel's wire name
     query_proj: dict           # nested projections (fallback scoring)
     flat_proj: dict            # flattened projections (the wire payload)
     num_queries: int
@@ -495,8 +492,8 @@ class RemoteShardExecutor:
     either interchangeably.  Determinism under faults: every replica and
     the local fallback score the same shard bytes with the same kernel,
     responses are CRC-checked and structurally validated before entering
-    the merge, and the reduce is the engine's deterministic
-    :func:`~repro.serving.shards.finalize_screen` — so the merged top-k
+    the merge, and the envelope is the engine's deterministic
+    :func:`~repro.serving.shards.padded_screen` — so the merged top-k
     is bitwise-identical to the serial in-memory engine no matter which
     replicas answered, how many retries it took, or whether any shard
     fell back to local execution.
@@ -712,24 +709,21 @@ class RemoteShardExecutor:
         (probability desc, index asc), exclusions removed.
         """
         block_size = block_size or self._store.block_size
-        top_ks = normalize_top_k(top_k, num_queries)
-        excludes = normalize_exclude(exclude, num_queries)
-        padded = tuple(k + e.size if k > 0 else 0
-                       for k, e in zip(top_ks, excludes))
-        call = _ScreenCall(
-            kernel=kernel, kind=kernel_kind(kernel),
-            query_proj=query_proj,
-            flat_proj=_flatten_arrays(query_proj),
-            num_queries=num_queries, padded=padded,
-            block_size=int(block_size), two_sided=bool(two_sided))
-        shard_ids = range(self._store.num_shards)
-        if self._store.num_shards == 1 or not self._endpoints:
-            per_shard = [self._screen_shard(call, sid) for sid in shard_ids]
-        else:
-            pool = self._ensure_threads()
-            per_shard = list(pool.map(
+        flat_proj = _flatten_arrays(query_proj)
+
+        def run_shards(padded):
+            call = _ScreenCall(
+                kind=kernel_kind(kernel),
+                query_proj=query_proj, flat_proj=flat_proj,
+                num_queries=num_queries, padded=tuple(padded),
+                block_size=int(block_size), two_sided=bool(two_sided))
+            shard_ids = range(self._store.num_shards)
+            if self._store.num_shards == 1 or not self._endpoints:
+                return [self._screen_shard(call, sid) for sid in shard_ids]
+            return list(self._ensure_threads().map(
                 lambda sid: self._screen_shard(call, sid), shard_ids))
-        return finalize_screen(per_shard, list(padded), excludes, top_ks)
+
+        return padded_screen(num_queries, top_k, exclude, run_shards)
 
     # -- per-shard retry / failover loop --------------------------------
     def _screen_shard(self, call: _ScreenCall, shard: int
@@ -758,8 +752,15 @@ class RemoteShardExecutor:
                 endpoint.breaker.record_success()
                 return result
         if self.local_fallback:
+            # Last resort: the same stage over the locally mapped store —
+            # invisible in the results, visible only in ``stats``.  Shard
+            # threads fall back concurrently and a kernel's scratch
+            # buffers are not reentrant, so each gets a fresh kernel.
             self._bump("local_fallbacks")
-            return self._screen_local(call, shard)
+            return screen_store_shard(self._store, shard, call.block_size,
+                                      make_kernel(call.kind),
+                                      call.query_proj, call.two_sided,
+                                      call.num_queries, call.padded)
         raise RemoteShardError(
             f"shard {shard}: every remote attempt failed and local "
             f"fallback is disabled") from last_error
@@ -838,18 +839,6 @@ class RemoteShardExecutor:
         return validate_shard_results(results, call.num_queries,
                                       call.padded,
                                       num_drugs=self._store.num_drugs)
-
-    def _screen_local(self, call: _ScreenCall, shard: int
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Last-resort plan: screen the shard from the locally mapped store.
-
-        Same ``screen_shard`` over the same bytes, so falling back is
-        invisible in the results — only in :attr:`stats`.
-        """
-        score = exact_score_fn(call.kernel, call.query_proj,
-                               call.two_sided)
-        return screen_shard(self._store.open_shard(shard), call.block_size,
-                            score, call.num_queries, call.padded)
 
 
 # ---------------------------------------------------------------------------

@@ -60,23 +60,6 @@ class ScreenHit:
     probability: float
 
 
-def _slice_query(query_proj: dict, qi: int) -> dict:
-    """One query's single-row slice of a (possibly nested) projections dict.
-
-    The dot decoder's query projections are flat arrays; the MLP decoder
-    nests per-side operand dicts (``{"as_left": {"const", "g_max", ...}}``)
-    under the side names, with flat extras (the ``"sketch"`` operand)
-    alongside.  Both shapes slice to a one-query view here.
-    """
-    sliced = {}
-    for name, value in query_proj.items():
-        if isinstance(value, dict):
-            sliced[name] = {k: v[qi:qi + 1] for k, v in value.items()}
-        else:
-            sliced[name] = value[qi:qi + 1]
-    return sliced
-
-
 class DDIScreeningService:
     """Embed-once / score-many serving layer for a trained HyGNN model.
 
@@ -567,12 +550,15 @@ class DDIScreeningService:
         self._cache.shard_manifest = str(store.path)
         return True
 
-    def _detach_store(self) -> None:
-        self._store = None
-        self._store_version = None
+    def _close_pool(self) -> None:
         if self._executor is not None:
             self._executor.close()
             self._executor = None
+
+    def _detach_store(self) -> None:
+        self._store = None
+        self._store_version = None
+        self._close_pool()
         if self._remote is not None:
             # Remote workers serve the detached store's shards — their
             # answers no longer describe the cache.
@@ -586,12 +572,6 @@ class DDIScreeningService:
         if (self._store is not None
                 and self._store_version != self._cache.version):
             self._detach_store()
-
-    def _get_executor(self) -> ParallelShardExecutor:
-        if self._executor is None:
-            self._executor = ParallelShardExecutor(
-                self._store, num_workers=self.num_workers)
-        return self._executor
 
     # ------------------------------------------------------------------
     # Multi-host tier
@@ -638,9 +618,7 @@ class DDIScreeningService:
     def close(self) -> None:
         """Release the worker pool and remote tier; the service stays
         usable."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self._close_pool()
         self.disconnect_workers()
 
     def __enter__(self) -> "DDIScreeningService":
@@ -694,13 +672,8 @@ class DDIScreeningService:
                             self._corpus.edge_partition))
             rows = [corpus_emb.numpy()]
             if self._extension_nodes:
-                node_ids = np.concatenate(self._extension_nodes)
-                edge_ids = np.repeat(
-                    np.arange(len(self._extension_nodes), dtype=np.int64),
-                    [len(n) for n in self._extension_nodes])
-                ext = model.encoder.encode_edges_subset(
-                    context, node_ids, edge_ids, len(self._extension_nodes))
-                rows.append(ext.numpy())
+                rows.append(self._encode_nodes(self._extension_nodes,
+                                               context))
             # Detach the context: serving never backprops, and a live context
             # would pin the whole corpus-encode autograd graph in the cache.
             detached = EncoderContext(layer_node_feats=tuple(
@@ -732,8 +705,27 @@ class DDIScreeningService:
                 sorted(self._vocab[t] for t in tokens), dtype=np.int64))
         return node_lists
 
-    def _tokenize(self, smiles: str, allow_unknown: bool) -> np.ndarray:
-        return self._tokenize_batch([smiles], allow_unknown)[0]
+    def _encode_nodes(self, node_lists: list[np.ndarray],
+                      context: EncoderContext) -> np.ndarray:
+        """Embed drugs (incidence node-id lists) against a frozen context.
+
+        One eval-mode ``encode_edges_subset`` call for the batch, cast to
+        the serving dtype.  A drug encoded in a batch can differ in the
+        last bit from the same drug encoded alone (BLAS batch shapes).
+        """
+        node_ids = (np.concatenate(node_lists) if node_lists
+                    else np.zeros(0, dtype=np.int64))
+        edge_ids = np.repeat(np.arange(len(node_lists), dtype=np.int64),
+                             [len(n) for n in node_lists])
+        model = self._model
+        was_training = model.training
+        model.eval()
+        try:
+            rows = model.encoder.encode_edges_subset(
+                context, node_ids, edge_ids, len(node_lists)).numpy()
+        finally:
+            model.train(was_training)
+        return rows.astype(self._dtype, copy=False)
 
     def register_drug(self, smiles: str, drug_id: str | None = None,
                       allow_unknown: bool = False) -> int:
@@ -750,7 +742,10 @@ class DDIScreeningService:
     def register_drugs(self, smiles_list: list[str],
                        drug_ids: list[str] | None = None,
                        allow_unknown: bool = False) -> list[int]:
-        """Batch registration; identical embeddings to one-at-a-time calls.
+        """Batch registration, one encode for the whole batch.
+
+        Embeddings match one-at-a-time registration up to last-bit BLAS
+        batch-shape rounding (see :meth:`screen_smiles_batch`).
 
         With an exact shard store attached, the new rows are *appended
         through* to it as a crash-safe segment (a new committed catalog
@@ -770,21 +765,8 @@ class DDIScreeningService:
         node_lists = self._tokenize_batch(smiles_list, allow_unknown)
 
         self._ensure_fresh()
-        node_ids = (np.concatenate(node_lists) if node_lists
-                    else np.zeros(0, dtype=np.int64))
-        edge_ids = np.repeat(np.arange(len(node_lists), dtype=np.int64),
-                             [len(n) for n in node_lists])
-        model = self._model
-        was_training = model.training
-        model.eval()
-        try:
-            rows = model.encoder.encode_edges_subset(
-                self._cache.context, node_ids, edge_ids,
-                len(node_lists)).numpy()
-        finally:
-            model.train(was_training)
-        rows = rows.astype(self._dtype, copy=False)
-        projections = model.candidate_projections(rows)
+        rows = self._encode_nodes(node_lists, self._cache.context)
+        projections = self._model.candidate_projections(rows)
         cached = self._cache.projections
         if (cached is not None and "sketch" in cached
                 and self._cache.sketch_factors is not None):
@@ -857,9 +839,7 @@ class DDIScreeningService:
         The memoized catalog engine is keyed on the store version and
         rebuilds by itself.
         """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self._close_pool()
         if self._remote is not None:
             self._remote.invalidate_validation()
 
@@ -889,8 +869,9 @@ class DDIScreeningService:
                 # The store was saved approx-ready but the in-memory
                 # sketch precompute was released at open_shards; sketch
                 # the new rows with the store's own factors.
-                factors = (self._cache.sketch_factors
-                           or store.sketch_factors())
+                factors = self._cache.sketch_factors
+                if factors is None and "sketch" in store.projection_names:
+                    factors = store.sketch_factors()
                 if factors is None:
                     raise ValueError("store declares a sketch projection "
                                      "but carries no factors")
@@ -1098,23 +1079,40 @@ class DDIScreeningService:
         return np.sort(np.fromiter(resolved, dtype=np.int64,
                                    count=len(resolved)))
 
-    def _use_parallel(self, parallel: bool | None, approx: bool) -> bool:
-        """Route a screen to the process pool?  Validates explicit asks."""
+    def _placement(self, parallel: bool | None, approx: bool):
+        """Where the exact per-shard stage runs: the one routing point.
+
+        Returns ``(executor, stats counter)``, or ``(None, None)`` for the
+        in-process catalog.  With ``parallel=None`` connected remote
+        workers win, then the pool when an exact store is attached and
+        ``num_workers > 1``; ``True`` demands the pool, ``False`` forces
+        in-process.  Approximate screens always run in-process.  Every
+        placement is bitwise-identical; only unsatisfiable asks raise.
+        """
         self._sync_store()
-        available = (self._store is not None
-                     and not self._store.is_quantized
-                     and self.num_workers > 1 and not approx)
-        if parallel is None:
-            return available
-        if parallel and not available:
-            if approx:
-                raise ValueError(
-                    "approximate screening runs in-process; drop "
-                    "parallel=True or use exact mode")
+        pool_ready = (self._store is not None
+                      and not self._store.is_quantized
+                      and self.num_workers > 1)
+        if parallel and approx:
+            raise ValueError(
+                "approximate screening runs in-process; drop "
+                "parallel=True or use exact mode")
+        if parallel and not pool_ready:
             raise RuntimeError(
                 "parallel screening needs an attached exact (non-quantized) "
                 "shard store (save_shards + open_shards) and num_workers > 1")
-        return bool(parallel)
+        if approx:
+            return None, None
+        if parallel is None:
+            if self._remote is not None:
+                return self._remote, "remote_screens"
+            parallel = pool_ready
+        if not parallel:
+            return None, None
+        if self._executor is None:
+            self._executor = ParallelShardExecutor(
+                self._store, num_workers=self.num_workers)
+        return self._executor, "parallel_screens"
 
     def _screen_embeddings(self, query_embeddings: np.ndarray,
                            top_k: int | list[int], exclude: list[np.ndarray],
@@ -1122,34 +1120,31 @@ class DDIScreeningService:
                            approx_oversample: int,
                            parallel: bool | None = None
                            ) -> list[list[ScreenHit]]:
-        """Shared engine behind screen / screen_batch / screen_smiles.
+        """The screening pipeline behind every ``screen*`` method.
 
-        Exact mode streams probability blocks through per-shard top-k
-        selection; scores are bitwise-identical to
-        :meth:`HyGNN.screen_probs` over the full catalog for every block
-        size, shard layout, query-batch size, and execution plan (serial
-        in-memory, serial memory-mapped, multi-process).  ``top_k`` may be
-        per-query: each query keeps its own accumulator, so heterogeneous
-        budgets in one batch reproduce the homogeneous results bitwise.
-        Approximate mode prefilters each block with one cheap GEMM (dot:
-        the inner products themselves; MLP: a low-rank sketch of the
-        split-weight operands), then exact-reranks the
-        ``top_k * approx_oversample`` survivors.
+        project queries → per-shard shortlist → merge → optional rerank →
+        hits.  Exact mode streams probability blocks through the per-shard
+        top-k at the placement :meth:`_placement` picks; scores are
+        bitwise-identical to :meth:`HyGNN.screen_probs` over the full
+        catalog for every block size, shard layout, query-batch size, and
+        placement.  ``top_k`` may be per-query: queries are selected and
+        reduced independently, so heterogeneous budgets in one batch
+        reproduce the one-query results bitwise.  Approximate mode
+        shortlists ``top_k * approx_oversample`` candidates per query with
+        one cheap GEMM per block (dot: the inner products themselves; MLP:
+        a low-rank sketch of the split-weight operands), then exact-reranks
+        them (:meth:`_rerank`).
         """
         decoder = self._model.decoder
         kernel = self._kernel()
         num_queries = len(query_embeddings)
         top_ks = normalize_top_k(top_k, num_queries)
         two_sided = symmetric and not decoder.is_symmetric
-        use_parallel = self._use_parallel(parallel, approx)
+        executor, counter = self._placement(parallel, approx)
         query_proj = decoder.project_queries(
             query_embeddings,
             sides=("as_left", "as_right") if two_sided else ("as_left",))
         stats = self._cache.stats
-        # Excluded candidates are filtered out and never reported, so they
-        # are not useful pair evaluations: charge only the eligible ones
-        # (every screen excludes at least the query itself).
-        eligible = sum(self.num_drugs - e.size for e in exclude)
 
         if approx:
             if not decoder.supports_prefilter:
@@ -1160,37 +1155,31 @@ class DDIScreeningService:
                 raise ValueError("approx_oversample must be >= 1")
             catalog, prefilter, rerank_rows = self._approx_setup(
                 kernel, query_proj)
-            results, rescored = self._approx_screen(
-                catalog, kernel, query_proj, num_queries, top_ks,
-                exclude, approx_oversample, two_sided,
-                prefilter, rerank_rows)
+            shortlist = catalog.screen(
+                prefilter, num_queries,
+                [max(k * approx_oversample, k) for k in top_ks],
+                exclude=exclude)
+            results, rescored = self._rerank(kernel, query_proj, shortlist,
+                                             top_ks, two_sided, rerank_rows)
             # The shortlist scan is one cheap comparison per candidate,
             # not an exact pair score; only the rescores are exact.
             stats.prefilter_pairs += num_queries * self.num_drugs
             stats.pairs_scored += rescored
         else:
-            # The remote tier wins the default routing when connected
-            # (parallel=None); parallel=True still demands the local
-            # process pool, parallel=False forces fully in-process.
-            # Every plan is bitwise-identical, so routing is a pure
-            # performance/placement decision.
-            if parallel is None and self._remote is not None \
-                    and self._store is not None:
-                results = self._remote.screen(
-                    kernel, query_proj, num_queries, top_ks,
-                    block_size=self.block_size, exclude=exclude,
-                    two_sided=two_sided)
-                stats.remote_screens += num_queries
-            elif use_parallel:
-                results = self._get_executor().screen(
-                    kernel, query_proj, num_queries, top_ks,
-                    block_size=self.block_size, exclude=exclude,
-                    two_sided=two_sided)
-                stats.parallel_screens += num_queries
-            else:
+            if executor is None:
                 results = self._catalog().screen(
                     exact_score_fn(kernel, query_proj, two_sided),
                     num_queries, top_ks, exclude=exclude)
+            else:
+                results = executor.screen(
+                    kernel, query_proj, num_queries, top_ks,
+                    block_size=self.block_size, exclude=exclude,
+                    two_sided=two_sided)
+                setattr(stats, counter, getattr(stats, counter) + num_queries)
+            # Excluded candidates are filtered out and never reported, so
+            # they are not useful pair evaluations: charge only the
+            # eligible ones (every catalog query excludes itself).
+            eligible = sum(self.num_drugs - e.size for e in exclude)
             stats.pairs_scored += eligible * (2 if two_sided else 1)
         stats.screens += num_queries
         return [[ScreenHit(index=int(j), drug_id=self._drug_ids[j],
@@ -1202,18 +1191,13 @@ class DDIScreeningService:
         """Wire the approximate tier for the current engine state.
 
         Returns ``(catalog, prefilter, rerank_rows)``: the catalog whose
-        blocks the shortlist pass streams, the cheap scoring function for
+        blocks the shortlist pass streams (in memory, or the attached
+        store's mmap, sketch rows included), the cheap scoring function for
         those blocks, and the gather that fetches *exact* candidate rows
-        for the rerank.  Three configurations:
-
-        * in-memory — sketch factors are (re)built on the cache as needed,
-          both passes run over the in-memory arrays;
-        * exact shard store — blocks (sketch rows included) stream from
-          the mmap; the rerank gathers the same mapped rows;
-        * quantized shard store — the prefilter dequantizes the int8 pages
-          of its operand on the fly; the rerank reads the exact rows kept
-          in memory, so shortlist probabilities carry no quantization
-          error.
+        for the rerank.  Only a quantized store differs: its prefilter
+        dequantizes the int8 pages of its operand on the fly, and its
+        rerank reads the exact rows kept in memory, so shortlist
+        probabilities carry no quantization error.
 
         For a sketch decoder (MLP) this also stashes the per-batch query
         operand under ``query_proj["sketch"]``.
@@ -1222,33 +1206,27 @@ class DDIScreeningService:
         needs_sketch = getattr(decoder, "needs_sketch", False)
         self._sync_store()
         store = self._store
-        if store is None:
-            if needs_sketch:
-                self._cache.ensure_sketch(decoder, rank=self._sketch_rank)
-                query_proj["sketch"] = kernel.sketch_queries(
-                    query_proj, self._cache.sketch_factors)
-            catalog = self._catalog()
-
-            def prefilter(_emb_block, proj_block):
-                return kernel.prefilter_block(query_proj, proj_block)
-
-            return catalog, prefilter, catalog.rows
-
         if needs_sketch:
-            factors = self._cache.sketch_factors
-            if factors is None and "sketch" in store.projection_names:
-                factors = store.sketch_factors()
-            if factors is None:
-                raise ValueError(
-                    "attached shard store carries no prefilter sketch for "
-                    f"{type(decoder).__name__}; re-save it with "
-                    "save_shards() to serve approximate mode")
-            # Stash on the cache so later batches (and registrations)
-            # skip the manifest round-trip.
-            self._cache.sketch_factors = factors
+            if store is None:
+                factors = self._cache.ensure_sketch(decoder,
+                                                    rank=self._sketch_rank)
+            else:
+                # Building factors would bump the cache version and detach
+                # the store: take the cache's, else the store's, and stash
+                # them so later batches (and registrations) skip the
+                # manifest.
+                factors = self._cache.sketch_factors
+                if factors is None and "sketch" in store.projection_names:
+                    factors = store.sketch_factors()
+                if factors is None:
+                    raise ValueError(
+                        "attached shard store carries no prefilter sketch "
+                        f"for {type(decoder).__name__}; re-save it with "
+                        "save_shards() to serve approximate mode")
+                self._cache.sketch_factors = factors
             query_proj["sketch"] = kernel.sketch_queries(query_proj, factors)
         catalog = self._catalog(approx=True)
-        if not store.is_quantized:
+        if store is None or not store.is_quantized:
             def prefilter(_emb_block, proj_block):
                 return kernel.prefilter_block(query_proj, proj_block)
 
@@ -1279,78 +1257,44 @@ class DDIScreeningService:
 
         return catalog, prefilter, rerank_rows
 
-    def _batched_rerank(self, kernel, query_proj, shortlist, top_ks,
-                        two_sided, rerank_rows):
-        """One-pass exact rerank of every query's shortlist, when possible.
+    @staticmethod
+    def _rerank(kernel, query_proj, shortlist, top_ks, two_sided,
+                rerank_rows):
+        """Exact rerank of every query's shortlist.
 
-        Requires a decoder with a gather-rerank kernel (``score_rows``)
-        and uniform shortlist lengths (heterogeneous ``top_k``/``exclude``
-        batches fall back to the per-query loop — returns ``None``).  The
-        candidate rows of all shortlists are gathered with one fancy-index
-        call and scored as a ``(Q, K, width)`` batch; probabilities are
-        bitwise identical to the per-query path, so which path ran is
-        unobservable in the results.
+        One gather and one ``kernel.score_rows`` call per distinct
+        shortlist length (a uniform batch is one call).  Grouping by
+        length, not padding to the longest, keeps the reranked
+        probabilities bitwise what one-query screens report.  Returns
+        ``(results, rescored)``; ``rescored`` counts exact-kernel rows.
         """
-        if not hasattr(kernel, "score_rows"):
-            return None
-        lengths = {len(ci) for ci, _ in shortlist}
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        num_rows = lengths.pop()
-        num_queries = len(shortlist)
-        flat = np.concatenate([ci for ci, _ in shortlist])
-        _emb_rows, proj_rows = rerank_rows(flat)
-        rows3d = {name: value.reshape(num_queries, num_rows,
-                                      *value.shape[1:])
-                  for name, value in proj_rows.items()}
-        probs = stable_sigmoid(kernel.score_rows(query_proj, rows3d))
-        if two_sided:
-            probs = 0.5 * (probs + stable_sigmoid(
-                kernel.score_rows(query_proj, rows3d, reverse=True)))
-        results = []
-        for qi, (cand_indices, _approx_scores) in enumerate(shortlist):
-            select = np.lexsort((cand_indices,
-                                 -probs[qi]))[:max(top_ks[qi], 0)]
-            results.append((cand_indices[select], probs[qi][select]))
-        rescored = flat.size * (2 if two_sided else 1)
-        return results, rescored
-
-    def _approx_screen(self, catalog, kernel, query_proj, num_queries,
-                       top_ks, exclude, oversample, two_sided,
-                       prefilter, rerank_rows):
-        """Cheap-operand prefilter, then exact rerank of the survivors.
-
-        The shortlist pass streams ``prefilter`` scores (dot: one
-        inner-product GEMM per block; MLP: the low-rank sketch GEMM, a
-        forward-orientation surrogate even for symmetric screens) through
-        the same top-k engine as exact mode, keeping ``top_k * oversample``
-        survivors per query.  Returns ``(results, rescored)`` where
-        ``rescored`` counts the shortlist rows that went through the exact
-        kernel.
-        """
-        shortlist = catalog.screen(
-            prefilter, num_queries,
-            [max(k * oversample, k) for k in top_ks], exclude=exclude)
-        batched = self._batched_rerank(kernel, query_proj, shortlist,
-                                       top_ks, two_sided, rerank_rows)
-        if batched is not None:
-            return batched
-        results = []
+        groups: dict[int, list[int]] = {}
+        for qi, (candidates, _) in enumerate(shortlist):
+            groups.setdefault(len(candidates), []).append(qi)
+        results = [(candidates, np.zeros(0)) for candidates, _ in shortlist]
         rescored = 0
-        for qi, (cand_indices, _approx_scores) in enumerate(shortlist):
-            if not len(cand_indices):
-                results.append((cand_indices, np.zeros(0)))
+        for length, members in groups.items():
+            if not length:
                 continue
-            emb_rows, proj_rows = rerank_rows(cand_indices)
-            rescored += len(cand_indices) * (2 if two_sided else 1)
-            qi_proj = _slice_query(query_proj, qi)
-            # Rerank with the exact kernel (two-sided when the screen is):
-            # probabilities of the survivors are what exact mode would
-            # report for them.
-            probs = exact_score_fn(kernel, qi_proj, two_sided)(
-                emb_rows, proj_rows)[0]
-            select = np.lexsort((cand_indices, -probs))[:max(top_ks[qi], 0)]
-            results.append((cand_indices[select], probs[select]))
+            flat = np.concatenate([shortlist[qi][0] for qi in members])
+            _emb_rows, proj_rows = rerank_rows(flat)
+            rows = {name: value.reshape(len(members), length,
+                                        *value.shape[1:])
+                    for name, value in proj_rows.items()}
+            group_proj = {
+                name: ({k: v[members] for k, v in value.items()}
+                       if isinstance(value, dict) else value[members])
+                for name, value in query_proj.items()}
+            probs = stable_sigmoid(kernel.score_rows(group_proj, rows))
+            if two_sided:
+                probs = 0.5 * (probs + stable_sigmoid(
+                    kernel.score_rows(group_proj, rows, reverse=True)))
+            for row, qi in enumerate(members):
+                candidates = shortlist[qi][0]
+                select = np.lexsort((candidates,
+                                     -probs[row]))[:max(top_ks[qi], 0)]
+                results[qi] = (candidates[select], probs[row][select])
+            rescored += flat.size * (2 if two_sided else 1)
         return results, rescored
 
     def screen(self, query: int | str, top_k: int = 5,
@@ -1371,19 +1315,10 @@ class DDIScreeningService:
         the pool (raises if no store is attached).  Every plan returns
         bitwise-identical hits.
         """
-        index = self._as_query_index(query)
-        if not 0 <= index < self.num_drugs:
-            raise IndexError(f"catalog index {index} out of range")
-        self._ensure_fresh()
-        query_emb = self._cache.embeddings[index:index + 1]
-        if exclude:
-            excluded = np.union1d(self._resolve_exclude(exclude),
-                                  np.array([index], dtype=np.int64))
-        else:
-            excluded = np.array([index], dtype=np.int64)
-        return self._screen_embeddings(query_emb, top_k, [excluded],
-                                       symmetric, approx, approx_oversample,
-                                       parallel=parallel)[0]
+        return self.screen_batch(
+            [query], top_k=top_k, exclude=exclude, symmetric=symmetric,
+            approx=approx, approx_oversample=approx_oversample,
+            parallel=parallel)[0]
 
     def _normalize_exclude_arg(self, exclude,
                                num_queries: int) -> list[np.ndarray]:
@@ -1476,29 +1411,18 @@ class DDIScreeningService:
 
         All transient queries are tokenized and embedded in a single
         :meth:`~repro.core.encoder.HyGNNEncoder.encode_edges_subset` call
-        (identical embeddings to one-at-a-time encoding — each hyperedge's
-        segments reduce independently) and screened as one engine batch.
-        ``top_k`` may be per-query; per-query results are bitwise-identical
-        to serial :meth:`screen_smiles` calls.
+        and screened as one engine batch; ``top_k`` may be per-query.  The
+        encoder's dense layers round a multi-row batch differently from a
+        single row (BLAS gemm vs gemv), so results match serial
+        :meth:`screen_smiles` calls up to last-bit differences in the
+        probabilities (and in a ranking only where one reorders a
+        near-tie).
         """
         if not len(smiles_list):
             return []
         node_lists = self._tokenize_batch(list(smiles_list), allow_unknown)
         self._ensure_fresh()
-        node_ids = (np.concatenate(node_lists) if node_lists
-                    else np.zeros(0, dtype=np.int64))
-        edge_ids = np.repeat(np.arange(len(node_lists), dtype=np.int64),
-                             [len(n) for n in node_lists])
-        model = self._model
-        was_training = model.training
-        model.eval()
-        try:
-            query_embs = model.encoder.encode_edges_subset(
-                self._cache.context, node_ids, edge_ids,
-                len(node_lists)).numpy()
-        finally:
-            model.train(was_training)
-        query_embs = query_embs.astype(self._dtype, copy=False)
+        query_embs = self._encode_nodes(node_lists, self._cache.context)
         empty = np.zeros(0, dtype=np.int64)
         return self._screen_embeddings(query_embs, top_k,
                                        [empty] * len(node_lists), symmetric,

@@ -3,38 +3,44 @@
 :class:`ShardedEmbeddingCatalog` partitions a catalog's embedding matrix —
 and the precomputed candidate-side decoder projections that ride with it —
 into ``S`` shards, each scored in fixed-size blocks.  A screening query runs
-per-shard streaming top-k (:class:`~repro.serving.topk.TopKAccumulator`)
-and a deterministic cross-shard merge (:func:`~repro.serving.topk.merge_top_k`),
-so results are bitwise-identical for every ``(num_shards, block_size,
-layout)`` choice: peak scoring memory is O(block + k) per shard, never
-O(catalog).
+per-shard streaming top-k (:func:`screen_shard`, one vectorised
+:func:`~repro.serving.topk.batch_top_k_sets` selection per block for the
+whole query batch) and a deterministic cross-shard merge
+(:func:`~repro.serving.topk.merge_top_k`), so results are bitwise-identical
+for every ``(num_shards, block_size, layout)`` choice: peak scoring memory
+is O(block + k) per shard, never O(catalog).
 
 The default layout splits rows into contiguous ranges, which keeps every
 shard a zero-copy view of the parent arrays.  An explicit ``layout`` (any
 partition of the row indices, e.g. hash-assignment) is supported for
 distribution experiments; those shards gather their rows once at build
-time — the same copy a per-worker deployment would hold locally.
+time — the same copy a per-worker deployment would hold locally — sorted
+by global index, so every layout runs the same engine.
 
-The per-shard accumulate (:func:`screen_shard`) and the cross-shard reduce
-(:func:`finalize_screen`) are module-level functions, deliberately: the
-out-of-core tier (:mod:`repro.serving.store`) and the process-pool executor
-(:mod:`repro.serving.executor`) run the *same* code over memory-mapped shard
-files in worker processes, which is what makes their results bitwise-
-identical to this in-memory catalog by construction.
+Every placement runs one pipeline: the envelope (:func:`padded_screen`)
+pads each query's budget for its exclusions, runs :func:`screen_shard` on
+every shard, and merges the per-shard winners.  The in-memory catalog,
+the process pool (:mod:`repro.serving.executor`) and remote workers
+(:mod:`repro.serving.remote`) differ only in where ``screen_shard`` runs —
+over in-memory views or memory-mapped shard files
+(:mod:`repro.serving.store`) — which makes their results bitwise-identical
+by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .topk import (TopKAccumulator, as_float_scores, batch_top_k_sets,
-                   merge_top_k)
+from .topk import as_float_scores, batch_top_k_sets, merge_top_k
 
 # score_block(embeddings_block, projections_block) -> (num_queries, block) scores
 ScoreBlockFn = Callable[[np.ndarray, dict[str, np.ndarray]], np.ndarray]
+# run_shards(padded budgets) -> per shard, one (indices, scores) per query
+RunShardsFn = Callable[[list[int]],
+                       list[list[tuple[np.ndarray, np.ndarray]]]]
 
 
 def normalize_top_k(top_k, num_queries: int) -> list[int]:
@@ -80,16 +86,6 @@ def normalize_exclude(exclude, num_queries: int) -> list[np.ndarray]:
     return [shared] * num_queries
 
 
-def iter_shard_blocks(shard: "CatalogShard", block_size: int) -> Iterator[
-        tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
-    """Yield ``(global_indices, embeddings, projections)`` scoring blocks."""
-    for start in range(0, shard.num_drugs, block_size):
-        stop = start + block_size
-        yield (shard.indices[start:stop],
-               shard.embeddings[start:stop],
-               {k: v[start:stop] for k, v in shard.projections.items()})
-
-
 def screen_shard(shard: "CatalogShard", block_size: int,
                  score_block: ScoreBlockFn, num_queries: int,
                  padded: Sequence[int]
@@ -100,52 +96,24 @@ def screen_shard(shard: "CatalogShard", block_size: int,
     shard; the in-memory catalog runs the identical function over its array
     views, so both paths produce bitwise-equal per-shard results.
 
-    Contiguous shard layouts (ascending global indices — the default, and
-    every layout the service builds) take a batched path: one vectorised
-    top-k selection per block for the whole query batch instead of
-    ``num_queries`` python-level accumulator updates.  Both paths realise
-    the same (score desc, index asc) total order, so their results are
-    bitwise-identical; permuted layouts keep the per-query accumulators,
-    whose update step re-sorts each block by global index.
-    """
-    if len(shard.indices) > 1 and not np.all(
-            shard.indices[1:] > shard.indices[:-1]):
-        accumulators = [TopKAccumulator(k) for k in padded]
-        for indices, emb_block, proj_block in iter_shard_blocks(shard,
-                                                                block_size):
-            scores = np.atleast_2d(as_float_scores(
-                score_block(emb_block, proj_block)))
-            if scores.shape != (num_queries, len(indices)):
-                raise ValueError(
-                    f"score_block returned shape {scores.shape}; "
-                    f"expected ({num_queries}, {len(indices)})")
-            for qi in range(num_queries):
-                accumulators[qi].update(scores[qi], indices)
-        return [acc.result() for acc in accumulators]
-    return _screen_shard_batched(shard, block_size, score_block,
-                                 num_queries, padded)
-
-
-def _screen_shard_batched(shard: "CatalogShard", block_size: int,
-                          score_block: ScoreBlockFn, num_queries: int,
-                          padded: Sequence[int]
-                          ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vectorised ``screen_shard`` for ascending-index shards.
-
     Streams a single ``(num_queries, running)`` candidate pool: each block
     contributes its per-row top-``kmax`` columns (one ``argpartition`` for
     the whole batch), the pool is re-sorted by global index so boundary
-    ties keep the total order, and re-selected.  Selecting ``kmax =
-    max(padded)`` rows for every query and truncating per query at the end
-    is exact — the top ``padded[qi]`` of the total order is a prefix of
-    the top ``kmax``.
+    ties keep the (score desc, index asc) total order, and re-selected.
+    Selecting ``kmax = max(padded)`` rows for every query and truncating
+    per query at the end is exact — the top ``padded[qi]`` of the total
+    order is a prefix of the top ``kmax``.  Block columns tie-break by
+    position, so the shard's global indices must ascend; every shard the
+    catalog and the store build does (see :class:`ShardedEmbeddingCatalog`).
     """
     kmax = max(padded, default=0)
     run_idx = run_sc = None
-    for indices, emb_block, proj_block in iter_shard_blocks(shard,
-                                                            block_size):
-        scores = np.atleast_2d(as_float_scores(
-            score_block(emb_block, proj_block)))
+    for start in range(0, shard.num_drugs, block_size):
+        stop = start + block_size
+        indices = shard.indices[start:stop]
+        scores = np.atleast_2d(as_float_scores(score_block(
+            shard.embeddings[start:stop],
+            {k: v[start:stop] for k, v in shard.projections.items()})))
         if scores.shape != (num_queries, len(indices)):
             raise ValueError(
                 f"score_block returned shape {scores.shape}; "
@@ -162,8 +130,7 @@ def _screen_shard_batched(shard: "CatalogShard", block_size: int,
         pool_sc = np.concatenate([run_sc, blk_sc], axis=1)
         if pool_idx.shape[1] > kmax:
             # Arrange the pool index-ascending per row so positional ties
-            # in the re-selection coincide with the (score desc, index
-            # asc) total order, exactly like TopKAccumulator.update.
+            # in the re-selection coincide with the total order.
             order = np.argsort(pool_idx, axis=1)
             pool_idx = np.take_along_axis(pool_idx, order, axis=1)
             pool_sc = np.take_along_axis(pool_sc, order, axis=1)
@@ -176,7 +143,7 @@ def _screen_shard_batched(shard: "CatalogShard", block_size: int,
     if run_idx is None:
         return [empty] * num_queries
     # Final ordering: index-ascending rows + a stable sort on descending
-    # score == the (score desc, index asc) order result() produces.
+    # score == the (score desc, index asc) total order.
     order = np.argsort(run_idx, axis=1)
     run_idx = np.take_along_axis(run_idx, order, axis=1)
     run_sc = np.take_along_axis(run_sc, order, axis=1)
@@ -195,11 +162,12 @@ def validate_shard_results(results: list[tuple[np.ndarray, np.ndarray]],
 
     Remote workers return results over a network transport; a frame that
     passes the checksum can still be structurally wrong (a buggy or
-    mismatched worker).  :func:`finalize_screen` assumes well-formed
-    inputs, so the client validates here — shape, dtype family, paired
-    lengths, budget ceiling, and (when ``num_drugs`` is known) index
-    range — and raises ``ValueError`` on any violation, which the caller
-    treats like any other failed request (retry / failover).
+    mismatched worker).  The merge in :func:`padded_screen` assumes
+    well-formed inputs, so the client validates here — shape, dtype
+    family, paired lengths, budget ceiling, and (when ``num_drugs`` is
+    known) index range — and raises ``ValueError`` on any violation,
+    which the caller treats like any other failed request (retry /
+    failover).
     """
     if len(results) != num_queries:
         raise ValueError(f"shard returned {len(results)} per-query results "
@@ -229,31 +197,42 @@ def validate_shard_results(results: list[tuple[np.ndarray, np.ndarray]],
     return checked
 
 
-def finalize_screen(per_shard: list[list[tuple[np.ndarray, np.ndarray]]],
-                    padded: Sequence[int], excludes: Sequence[np.ndarray],
-                    top_k: int | Sequence[int]
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic cross-shard reduce: merge, filter exclusions, truncate.
+def padded_screen(num_queries: int, top_k: int | Sequence[int],
+                  exclude: Sequence[np.ndarray] | np.ndarray | None,
+                  run_shards: RunShardsFn
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The shard-screen envelope every placement shares.
 
-    ``top_k`` may be one shared budget or a per-query sequence — queries
-    are reduced independently either way, so a heterogeneous batch is
-    bitwise-identical to running each query alone with its own budget.
+    A placement supplies only ``run_shards(padded)``: run the per-shard
+    stage on every shard with these per-query budgets, returning one
+    per-query result list per shard, in shard order.  The envelope then
+    merges under the (score desc, index asc) total order, filters
+    exclusions and truncates, each query independently — a heterogeneous
+    batch is bitwise what each query alone returns.
+
+    Exclusions are applied *after* selection: each query's budget is
+    padded to ``top_k + len(exclude)`` (0 when ``top_k <= 0``), so the
+    excluded rows can never displace an eligible one.  That keeps the
+    per-block work free of membership tests, and is exactly equivalent
+    to masking candidates up front.
     """
-    top_ks = normalize_top_k(top_k, len(padded))
+    top_ks = normalize_top_k(top_k, num_queries)
+    excludes = normalize_exclude(exclude, num_queries)
+    padded = [k + e.size if k > 0 else 0 for k, e in zip(top_ks, excludes)]
+    per_shard = run_shards(padded)
     results = []
-    for qi in range(len(padded)):
+    for qi, (k, excluded) in enumerate(zip(top_ks, excludes)):
         if len(per_shard) == 1:
             indices, scores = per_shard[0][qi]
         else:
             indices, scores = merge_top_k([res[qi] for res in per_shard],
                                           padded[qi])
-        if excludes[qi].size:
+        if excluded.size:
             # Tiny membership test ((padded, E) broadcast) — np.isin's
             # dispatch overhead dwarfs the actual work at these sizes.
-            keep = ~(indices[:, None] == excludes[qi][None, :]).any(axis=1)
+            keep = ~(indices[:, None] == excluded[None, :]).any(axis=1)
             indices, scores = indices[keep], scores[keep]
-        results.append((indices[:max(top_ks[qi], 0)],
-                        scores[:max(top_ks[qi], 0)]))
+        results.append((indices[:max(k, 0)], scores[:max(k, 0)]))
     return results
 
 
@@ -271,7 +250,15 @@ class CatalogShard:
 
 
 def _as_partition(layout: Sequence[np.ndarray], num_rows: int) -> list[np.ndarray]:
-    parts = [np.asarray(part, dtype=np.int64).reshape(-1) for part in layout]
+    """The layout's parts, each sorted by global index, validated.
+
+    A shard is a *set* of rows: the (score desc, index asc) total order
+    makes its row order invisible in results, so sorting costs nothing
+    and gives every shard the ascending indices :func:`screen_shard`
+    tie-breaks on.
+    """
+    parts = [np.sort(np.asarray(part, dtype=np.int64).reshape(-1))
+             for part in layout]
     if not parts:
         raise ValueError("layout must contain at least one shard")
     flat = (np.concatenate(parts) if parts else
@@ -305,26 +292,21 @@ class ShardedEmbeddingCatalog:
         if layout is None:
             if num_shards < 1:
                 raise ValueError("num_shards must be >= 1")
-            chunks = np.array_split(np.arange(num_rows, dtype=np.int64),
-                                    num_shards)
-            # Contiguous ranges -> every shard is a zero-copy view.
-            shards = []
-            for chunk in chunks:
-                if not len(chunk):
-                    continue
-                lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-                shards.append(CatalogShard(
-                    indices=chunk,
-                    embeddings=embeddings[lo:hi],
-                    projections={k: v[lo:hi]
-                                 for k, v in projections.items()}))
+            parts = np.array_split(np.arange(num_rows, dtype=np.int64),
+                                   num_shards)
         else:
-            shards = [CatalogShard(indices=part,
-                                   embeddings=embeddings[part],
-                                   projections={k: v[part]
-                                                for k, v in projections.items()})
-                      for part in _as_partition(layout, num_rows)
-                      if len(part)]
+            parts = _as_partition(layout, num_rows)
+        shards = []
+        for part in parts:
+            if not len(part):
+                continue
+            lo, hi = int(part[0]), int(part[-1]) + 1
+            # A contiguous range (every default shard) is a zero-copy
+            # view; any other part gathers its rows once.
+            rows = slice(lo, hi) if hi - lo == len(part) else part
+            shards.append(CatalogShard(
+                indices=part, embeddings=embeddings[rows],
+                projections={k: v[rows] for k, v in projections.items()}))
         self._embeddings = embeddings
         self._projections = projections
         self._shards = shards
@@ -354,11 +336,6 @@ class ShardedEmbeddingCatalog:
         return (self._embeddings[indices],
                 {k: v[indices] for k, v in self._projections.items()})
 
-    def iter_blocks(self, shard: CatalogShard) -> Iterator[
-            tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
-        """Yield ``(global_indices, embeddings, projections)`` scoring blocks."""
-        return iter_shard_blocks(shard, self.block_size)
-
     # ------------------------------------------------------------------
     def screen(self, score_block: ScoreBlockFn, num_queries: int,
                top_k: int | Sequence[int],
@@ -371,23 +348,15 @@ class ShardedEmbeddingCatalog:
         for the whole query batch.  ``exclude`` is either one global-index
         array applied to every query or a per-query sequence of arrays;
         ``top_k`` is one shared budget or a per-query sequence (queries
-        keep independent accumulators, so a heterogeneous batch returns
-        bitwise what each query alone would).  Returns one
+        are selected and reduced independently, so a heterogeneous batch
+        returns bitwise what each query alone would).  Returns one
         ``(indices, scores)`` pair per query, sorted by (score desc,
-        index asc), excluded rows removed; fewer than ``top_k`` entries
-        come back when the catalog has fewer eligible candidates.
-
-        Exclusions are applied *after* selection: each accumulator keeps
-        ``top_k + len(exclude)`` candidates, so the excluded rows — at most
-        that many — can never displace an eligible one.  That keeps the
-        per-block work free of membership tests, and is exactly equivalent
-        to masking candidates up front.
+        index asc), excluded rows removed (see :func:`padded_screen`);
+        fewer than ``top_k`` entries come back when the catalog has fewer
+        eligible candidates.
         """
-        top_ks = normalize_top_k(top_k, num_queries)
-        excludes = normalize_exclude(exclude, num_queries)
-        padded = [k + e.size if k > 0 else 0
-                  for k, e in zip(top_ks, excludes)]
-        per_shard = [screen_shard(shard, self.block_size, score_block,
-                                  num_queries, padded)
-                     for shard in self._shards]
-        return finalize_screen(per_shard, padded, excludes, top_ks)
+        return padded_screen(
+            num_queries, top_k, exclude,
+            lambda padded: [screen_shard(shard, self.block_size, score_block,
+                                         num_queries, padded)
+                            for shard in self._shards])

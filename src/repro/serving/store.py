@@ -54,7 +54,7 @@ time and its heap allocations stay O(block + k) — a catalog (projections
 included) far larger than RAM streams through the engine.  Because
 :class:`MappedShardCatalog` feeds those maps through the *same*
 :func:`~repro.serving.shards.screen_shard` /
-:func:`~repro.serving.shards.finalize_screen` code as the in-memory
+:func:`~repro.serving.shards.padded_screen` code as the in-memory
 :class:`~repro.serving.shards.ShardedEmbeddingCatalog`, results are
 bitwise-identical to the in-memory engine for every block size and shard
 count.  Worker processes (:mod:`repro.serving.executor`) open individual

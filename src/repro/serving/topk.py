@@ -3,7 +3,10 @@
 The screening engine ranks candidates by ``(score descending, index
 ascending)`` — exactly the order ``np.argsort(-scores, kind="stable")``
 produces, but without ever sorting (or even holding) the full catalog's
-scores.  Three pieces:
+scores.  The engine (:func:`repro.serving.shards.screen_shard`) runs
+:func:`batch_top_k_sets` per block and :func:`merge_top_k` across shards;
+:func:`top_k_desc` and :class:`TopKAccumulator` are the one-query
+references the tests hold it to.  The scalar pieces:
 
 - :func:`top_k_desc`: ``np.argpartition``-based top-k over one array,
   O(n + k log k) instead of the O(n log n) full stable argsort, with

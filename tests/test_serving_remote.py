@@ -14,6 +14,7 @@ serial in-memory engine or an explicit error; never silently wrong.
 import os
 import signal
 import socket
+import sys
 import time
 
 import asyncio
@@ -439,6 +440,45 @@ class TestRemoteExecutor:
         assert stats["local_fallbacks"] == 3      # one per shard
         assert stats["breaker_trips"] >= 1        # breakers opened
         assert stats["breaker_skips"] >= 1        # later shards skipped them
+
+    def test_concurrent_local_fallbacks_stay_bitwise(self, tmp_path):
+        """Shard threads falling back at once must not share a kernel's
+        scratch buffers: a lost write there corrupts scores silently."""
+        corpus = _corpus(n=160, seed=3)
+        config = HyGNNConfig(parameter=4, embed_dim=32, hidden_dim=32,
+                             seed=0)
+        model, _, builder = HyGNN.for_corpus(corpus, config)
+        service = DDIScreeningService(model, builder, corpus, num_shards=4,
+                                      block_size=32)
+        assert service.open_shards(
+            service.save_shards(tmp_path / "store", num_shards=4),
+            strict=True)
+        queries = list(range(0, 64, 4))
+        serial = _hits(service.screen_batch(queries, top_k=8,
+                                            parallel=False))
+        dead = []
+        for _ in range(2):
+            probe = socket.socket()
+            probe.bind(("127.0.0.1", 0))
+            dead.append(probe.getsockname())
+            probe.close()
+        service.connect_workers(dead, timeout_s=0.25, attempts=1,
+                                backoff_base_s=0.0, breaker_threshold=1000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 3.0
+            rounds = 0
+            while rounds < 100 and time.monotonic() < deadline:
+                assert _hits(service.screen_batch(queries,
+                                                  top_k=8)) == serial
+                rounds += 1
+            fallbacks = service.remote.stats["local_fallbacks"]
+        finally:
+            sys.setswitchinterval(interval)
+            service.disconnect_workers()
+        assert rounds >= 5
+        assert fallbacks == 4 * rounds
 
     def test_no_fallback_raises_after_exhaustion(self, served):
         _, manifest = served

@@ -128,10 +128,10 @@ class TestTopK:
                     cols[qi], np.sort(top_k_set(scores[qi], k)))
 
     def test_batched_screen_shard_matches_accumulators(self):
-        """The vectorised per-shard screen is bitwise the accumulator path
-        for every blocking, tie pattern, and per-query budget mix."""
+        """The vectorised per-shard screen is bitwise the accumulator
+        oracle for every blocking, tie pattern, and per-query budget mix."""
         from repro.serving.shards import (ShardedEmbeddingCatalog,
-                                          _screen_shard_batched)
+                                          screen_shard)
         rng = np.random.default_rng(4)
         for _ in range(60):
             n = int(rng.integers(1, 100))
@@ -151,8 +151,8 @@ class TestTopK:
                 return scores[:, start:offset[0]]
 
             padded = [int(rng.integers(0, 13)) for _ in range(num_queries)]
-            got = _screen_shard_batched(catalog._shards[0], block,
-                                        score_block, num_queries, padded)
+            got = screen_shard(catalog._shards[0], block, score_block,
+                               num_queries, padded)
             accs = [TopKAccumulator(k) for k in padded]
             for start in range(0, n, block):
                 stop = min(start + block, n)

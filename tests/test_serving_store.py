@@ -444,9 +444,6 @@ class TestCacheVersionUniqueness:
 
 class TestApproxStats:
     def test_prefilter_and_rescore_counted_separately(self, setup):
-        _, config, *_ = setup
-        if config.decoder != "dot":
-            pytest.skip("approximate mode is dot-decoder only")
         service = _service(setup)
         service.screen(0, top_k=3)  # warm the cache
         n = service.num_drugs
@@ -470,6 +467,65 @@ class TestApproxStats:
         service.screen(1, top_k=3)
         assert service.stats.pairs_scored - base == service.num_drugs - 1
         assert service.stats.prefilter_pairs == 0
+
+
+class TestApproxRerankParity:
+    """The approximate tier's single rerank: a heterogeneous batch (mixed
+    ``top_k``, per-query ``exclude``) equals one-query approximate screens
+    bitwise, for both decoders, both precisions, in memory and on an exact
+    memory-mapped store."""
+
+    QUERIES = [0, 5, 9, 0]
+    TOP_KS = [3, 1, 5, 3]
+    EXCLUDES = [(2,), (), (1, 4, "drug_7"), (2,)]
+
+    def _service(self, setup, tmp_path, precision, placement):
+        service = _service(setup, precision=precision, block_size=7)
+        if placement == "mmap":
+            assert service.open_shards(
+                service.save_shards(tmp_path / "store", num_shards=3),
+                strict=True)
+        return service
+
+    @pytest.mark.parametrize("placement", ["memory", "mmap"])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_heterogeneous_batch_matches_serial_bitwise(
+            self, setup, tmp_path, precision, placement, symmetric):
+        service = self._service(setup, tmp_path, precision, placement)
+        kwargs = dict(symmetric=symmetric, approx=True, approx_oversample=4)
+        batched = service.screen_batch(self.QUERIES, top_k=self.TOP_KS,
+                                       exclude=self.EXCLUDES, **kwargs)
+        serial = [service.screen(q, top_k=k, exclude=e, **kwargs)
+                  for q, k, e in zip(self.QUERIES, self.TOP_KS,
+                                     self.EXCLUDES)]
+        assert _hits(batched) == _hits(serial)
+        assert [len(hits) for hits in batched] == self.TOP_KS
+        if placement == "mmap":
+            assert service.shard_store is not None
+
+    def test_one_score_rows_call_per_shortlist_length(self, setup, tmp_path):
+        service = self._service(setup, tmp_path, "float64", "memory")
+        kernel = service._kernel()
+        calls = []
+        score_rows = kernel.score_rows
+
+        def counting(query_proj, rows, reverse=False):
+            calls.append(next(iter(rows.values())).shape[:2])
+            return score_rows(query_proj, rows, reverse=reverse)
+
+        kernel.score_rows = counting
+        try:
+            service.screen_batch([0, 5, 9], top_k=3, approx=True,
+                                 approx_oversample=4)
+            assert calls == [(3, 12)]
+            calls.clear()
+            service.screen_batch(self.QUERIES, top_k=self.TOP_KS,
+                                 exclude=self.EXCLUDES, approx=True,
+                                 approx_oversample=4)
+            assert sorted(calls) == [(1, 4), (1, 20), (2, 12)]
+        finally:
+            del kernel.score_rows
 
 
 class TestResolveExcludeDeterminism:
