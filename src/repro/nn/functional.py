@@ -902,23 +902,25 @@ def _invertible_checkpoint_backward(ctx, out, x, *params):
         x.data = np.ascontiguousarray(x_data, dtype=out.data.dtype)
     # Re-run the subgraph with gradients enabled on an isolated leaf, then
     # backpropagate the output gradient through the transient inner graph.
-    # Captured tensors' existing grads are parked so the inner backward's
-    # contributions can be collected cleanly and returned to apply_op,
-    # which accumulates them into the outer graph exactly once.
+    # Captured tensors enter it as leaves: their grads are parked and their
+    # links into the outer graph cut, so the inner backward neither
+    # propagates into nor resets anything the outer backward owns.  Their
+    # contributions are returned to apply_op, which accumulates them into
+    # the outer graph exactly once.
     with tape_shield():
         x_leaf = Tensor(x.data, requires_grad=x.requires_grad)
-        parked = [(p, p.grad) for p in captured]
+        parked = [(p, p.grad, p._parents, p._backward) for p in captured]
         for p in captured:
-            p.grad = None
+            p.grad, p._parents, p._backward = None, (), None
         try:
             y = fn(x_leaf)
             y.backward(out.grad)
             grads = tuple(p.grad for p in params)
+            x_grad = x_leaf.grad if x.requires_grad else None
+            _release_recompute_graph(y, {id(t) for t in captured})
         finally:
-            for p, saved in parked:
-                p.grad = saved
-    x_grad = x_leaf.grad if x.requires_grad else None
-    _release_recompute_graph(y, {id(t) for t in captured})
+            for p, grad, parents, backward in parked:
+                p.grad, p._parents, p._backward = grad, parents, backward
     return (x_grad,) + grads
 
 

@@ -201,7 +201,13 @@ class Tensor:
         self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Back-propagate from this tensor through the recorded graph."""
+        """Back-propagate from this tensor through the recorded graph.
+
+        May be called more than once on one graph: leaf gradients
+        accumulate across calls (two calls give twice the gradient of
+        one), while every non-leaf gradient is reset at the start of each
+        call.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -214,6 +220,12 @@ class Tensor:
                 raise ValueError(f"gradient shape {grad.shape} != tensor shape {self.data.shape}")
 
         order = topological_order(self)
+        # A non-leaf gradient belongs to one backward call; left over from
+        # an earlier call it would be propagated again, so only leaves
+        # accumulate across calls.
+        for node in order:
+            if node._parents:
+                node.grad = None
         self._accumulate(grad)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:

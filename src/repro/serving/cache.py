@@ -55,6 +55,31 @@ def _fingerprint_from_json(payload: str) -> tuple:
     return restore(json.loads(payload))
 
 
+def _npz_path(path: str | Path) -> Path:
+    """The file ``np.savez`` writes for ``path``: ``.npz`` appended when
+    missing, so a saver can return the path that actually exists."""
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    return path
+
+
+def _context_arrays(context: EncoderContext) -> dict[str, np.ndarray]:
+    """The frozen encoder context as ``.npz`` arrays (one layer each)."""
+    arrays = {"num_context_layers": np.asarray(context.num_layers)}
+    for index, layer in enumerate(context.layer_node_feats):
+        arrays[f"context_layer_{index}"] = layer.data
+    return arrays
+
+
+def _context_from_arrays(archive) -> EncoderContext:
+    """Inverse of :func:`_context_arrays` over an open ``np.load`` archive
+    (the context comes back detached)."""
+    return EncoderContext(layer_node_feats=tuple(
+        Tensor(archive[f"context_layer_{index}"])
+        for index in range(int(archive["num_context_layers"]))))
+
+
 def weights_fingerprint(model: Module, mode: str = "fast",
                         params: list[tuple[str, "Tensor"]] | None = None
                         ) -> tuple:
@@ -273,23 +298,11 @@ class EmbeddingCache:
     def install(self, fingerprint: tuple, context: EncoderContext,
                 embeddings: np.ndarray,
                 projections: dict[str, np.ndarray] | None = None) -> None:
-        self.fingerprint = fingerprint
-        self.context = context
-        self.embeddings = embeddings
-        self.projections = projections
-        self.sketch_factors = None
-        self.version = next(_VERSION_COUNTER)
-        self.stats.corpus_encodes += 1
+        """Replace the content wholesale.
 
-    def adopt(self, fingerprint: tuple, context: EncoderContext,
-              embeddings: np.ndarray,
-              projections: dict[str, np.ndarray] | None = None) -> None:
-        """Install content that was *not* produced by an encode pass.
-
-        Identical to :meth:`install` except ``corpus_encodes`` stays
-        untouched — the cold-boot path (``DDIScreeningService.from_store``)
-        adopts embeddings gathered from persisted shards, and its whole
-        point is that no corpus encode ever ran.
+        Counts nothing: the caller that ran a corpus encode counts it, and
+        the cold-boot path (``DDIScreeningService.from_store``) installs
+        rows gathered from persisted shards without any encode.
         """
         self.fingerprint = fingerprint
         self.context = context
@@ -394,11 +407,7 @@ class EmbeddingCache:
         """
         if not self.valid:
             raise RuntimeError("cannot save an invalid cache")
-        # np.savez appends ".npz" itself when the suffix is missing; resolve
-        # that here so the returned path is the file that actually exists.
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_name(path.name + ".npz")
+        path = _npz_path(path)
         arrays = {
             "fingerprint_json": np.asarray(
                 _fingerprint_to_json(self.fingerprint)),
@@ -406,14 +415,12 @@ class EmbeddingCache:
                 catalog_digest if catalog_digest is not None
                 else (self.catalog_digest or "")),
             "embeddings": self.embeddings,
-            "num_context_layers": np.asarray(self.context.num_layers),
+            **_context_arrays(self.context),
             # Shard-store manifest path (out-of-core tier), if one was
             # written for this cache's contents — lets a warm restart
             # reattach the memory-mapped shards automatically.
             "shard_manifest": np.asarray(self.shard_manifest or ""),
         }
-        for index, layer in enumerate(self.context.layer_node_feats):
-            arrays[f"context_layer_{index}"] = layer.data
         if self.projections is not None:
             arrays["projection_names"] = np.asarray(
                 sorted(self.projections), dtype=str)
@@ -441,10 +448,7 @@ class EmbeddingCache:
             fingerprint = _fingerprint_from_json(
                 str(archive["fingerprint_json"]))
             digest = str(archive["catalog_digest"])
-            num_layers = int(archive["num_context_layers"])
-            context = EncoderContext(layer_node_feats=tuple(
-                Tensor(archive[f"context_layer_{index}"])
-                for index in range(num_layers)))
+            context = _context_from_arrays(archive)
             embeddings = archive["embeddings"]
             manifest = (str(archive["shard_manifest"])
                         if "shard_manifest" in archive.files else "")

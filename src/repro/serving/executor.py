@@ -92,9 +92,10 @@ def screen_store_shard(store: ShardStore, shard_id: int, block_size: int,
 # Worker-side machinery (module-level for picklability under spawn).
 # ---------------------------------------------------------------------------
 _WORKER_STORE: ShardStore | None = None
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else None
 
 
-def _init_worker(manifest_path: str, mmap_mode: str | None) -> None:
+def _init_worker(manifest_path: str) -> None:
     """Pool initializer: open the shard store once per worker process.
 
     Opened as a *reader* (``recover=False``, the default): only the
@@ -105,7 +106,7 @@ def _init_worker(manifest_path: str, mmap_mode: str | None) -> None:
     the new version.
     """
     global _WORKER_STORE
-    _WORKER_STORE = ShardStore(manifest_path, mmap_mode=mmap_mode)
+    _WORKER_STORE = ShardStore(manifest_path)
 
 
 def _screen_shard_task(task: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -124,19 +125,15 @@ class ParallelShardExecutor:
     """
 
     def __init__(self, store: ShardStore | str | Path,
-                 num_workers: int | None = None,
-                 mmap_mode: str | None = "r",
-                 start_method: str | None = None):
+                 num_workers: int | None = None):
         if not isinstance(store, ShardStore):
-            store = ShardStore(store, mmap_mode=mmap_mode)
+            store = ShardStore(store)
         if num_workers is None:
             num_workers = min(os.cpu_count() or 1, store.num_shards)
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self._store = store
         self.num_workers = num_workers
-        self._mmap_mode = mmap_mode
-        self._start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
         self.stats = {"pool_rebuilds": 0, "serial_fallbacks": 0}
 
@@ -146,15 +143,11 @@ class ParallelShardExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            methods = mp.get_all_start_methods()
-            method = self._start_method or (
-                "fork" if "fork" in methods else None)
-            ctx = mp.get_context(method)
             self._pool = ProcessPoolExecutor(
                 max_workers=min(self.num_workers, self._store.num_shards),
-                mp_context=ctx,
+                mp_context=mp.get_context(_START_METHOD),
                 initializer=_init_worker,
-                initargs=(str(self._store.path), self._mmap_mode))
+                initargs=(str(self._store.path),))
         return self._pool
 
     def _discard_pool(self) -> None:

@@ -366,21 +366,13 @@ class ScreeningGateway:
     def _flush(self, batch: list[_Request]) -> None:
         """Score one collected batch: expire, group, coalesce, fan out."""
         loop = asyncio.get_running_loop()
-        stats = self._service.stats
         now = loop.time()
-        live: list[_Request] = []
-        for request in batch:
-            if request.future.done():
-                continue  # caller cancelled while queued
-            if request.deadline is not None and now > request.deadline:
-                stats.gateway_expirations += 1
-                request.future.set_exception(DeadlineExceeded(
-                    "request deadline elapsed before its batch was scored"))
-                continue
-            live.append(request)
         groups: dict[tuple, list[_Request]] = {}
-        for request in live:
-            groups.setdefault(request.key, []).append(request)
+        for request in batch:
+            # Skips callers that cancelled while queued and expires overdue
+            # requests before any scoring is spent on them.
+            if not self._expire_if_late(request, now):
+                groups.setdefault(request.key, []).append(request)
         for key, group in groups.items():
             self._flush_group(loop, key, group)
 
@@ -397,7 +389,7 @@ class ScreeningGateway:
         if request.deadline is not None and now > request.deadline:
             self._service.stats.gateway_expirations += 1
             request.future.set_exception(DeadlineExceeded(
-                "request deadline elapsed during scoring"))
+                "request deadline elapsed before its answer was ready"))
             return True
         return False
 

@@ -43,6 +43,7 @@ Launch a worker standalone with::
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import struct
@@ -64,6 +65,14 @@ from .store import ShardStore
 
 _HEADER_STRUCT = struct.Struct("!I")
 _MAX_HEADER_BYTES = 64 * 1024 * 1024
+_MAX_PAYLOAD_BYTES = 256 * 1024 * 1024
+# bool, signed and unsigned integer, float: the only array kinds any frame
+# carries, and the only ones np.frombuffer can rebuild from raw bytes.
+_WIRE_DTYPE_KINDS = frozenset("biuf")
+# Client fan-out threads per executor, and the ceiling of one retry's
+# exponential backoff.
+_MAX_FANOUT_THREADS = 16
+_MAX_BACKOFF_S = 1.0
 PROTOCOL = "repro.serving.remote/v1"
 
 
@@ -148,9 +157,12 @@ def _recv_exact(stream, count: int) -> bytes:
 def recv_message(stream) -> tuple[dict, dict[str, np.ndarray]]:
     """Read one frame; returns ``(header, arrays)``.
 
-    Raises :class:`FrameError` when the frame is structurally invalid or
-    its payload CRC does not match — the caller treats either exactly
-    like a dropped connection (retry / failover), never as data.
+    Raises :class:`FrameError` when the frame is structurally invalid
+    (including a non-numeric dtype, a negative dimension, or a declared
+    payload over the frame size limit) or its payload CRC does not match
+    — the caller treats either exactly like a dropped connection (retry /
+    failover), never as data.  A peer that closes mid-frame raises
+    ``EOFError``.
     """
     (header_len,) = _HEADER_STRUCT.unpack(
         _recv_exact(stream, _HEADER_STRUCT.size))
@@ -166,10 +178,18 @@ def recv_message(stream) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         specs = [(str(name), np.dtype(dtype), tuple(int(d) for d in shape))
                  for name, dtype, shape in header.get("arrays", [])]
-        sizes = [dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-                 for _, dtype, shape in specs]
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, KeyError, OverflowError) as error:
         raise FrameError("malformed array specs") from error
+    for name, dtype, shape in specs:
+        if dtype.kind not in _WIRE_DTYPE_KINDS or any(d < 0 for d in shape):
+            raise FrameError(f"array {name!r}: {dtype.str} {list(shape)} is "
+                             f"not a numeric array spec")
+    # Python-int arithmetic: a header can declare dimensions whose product
+    # overflows int64, and the size is checked before anything is read.
+    sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in specs]
+    if sum(sizes) > _MAX_PAYLOAD_BYTES:
+        raise FrameError(f"declared payload of {sum(sizes)} bytes exceeds "
+                         f"the {_MAX_PAYLOAD_BYTES}-byte frame limit")
     payload = _recv_exact(stream, sum(sizes))
     if (zlib.crc32(payload) & 0xFFFFFFFF) != header.get("crc32"):
         raise FrameError("payload CRC32 mismatch — frame corrupt in flight")
@@ -177,7 +197,7 @@ def recv_message(stream) -> tuple[dict, dict[str, np.ndarray]]:
     offset = 0
     for (name, dtype, shape), size in zip(specs, sizes):
         arrays[name] = np.frombuffer(
-            payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
+            payload, dtype=dtype, count=math.prod(shape),
             offset=offset).reshape(shape)
         offset += size
     return header, arrays
@@ -229,12 +249,11 @@ class ShardWorker:
     def __init__(self, manifest: str | Path | ShardStore,
                  host: str = "127.0.0.1", port: int = 0,
                  fault_policy: FaultPolicy | None = None,
-                 mmap_mode: str | None = "r",
                  verify_checksums: bool = True):
         if isinstance(manifest, ShardStore):
             self.store = manifest
         else:
-            self.store = ShardStore(manifest, mmap_mode=mmap_mode,
+            self.store = ShardStore(manifest,
                                     verify_checksums=verify_checksums)
         self.fault_policy = fault_policy
         self._server = _WorkerServer((host, int(port)), _WorkerHandler)
@@ -511,12 +530,10 @@ class RemoteShardExecutor:
                  timeout_s: float = 10.0,
                  attempts: int = 3,
                  backoff_base_s: float = 0.05,
-                 backoff_max_s: float = 1.0,
                  breaker_threshold: int = 3,
                  breaker_reset_s: float = 5.0,
                  local_fallback: bool = True,
                  validate_workers: bool = True,
-                 max_threads: int | None = None,
                  fault_policy: FaultPolicy | None = None,
                  seed: int = 0):
         if not isinstance(store, ShardStore):
@@ -529,8 +546,8 @@ class RemoteShardExecutor:
             raise ValueError("attempts must be >= 1")
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if backoff_base_s < 0 or backoff_max_s < 0:
-            raise ValueError("backoff times must be >= 0")
+        if backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be >= 0")
         self._store = store
         self._endpoints = [
             _Endpoint(address=addr,
@@ -540,12 +557,10 @@ class RemoteShardExecutor:
         self.timeout_s = timeout_s
         self.attempts = attempts
         self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self.local_fallback = local_fallback
         self.validate_workers = validate_workers
         self.fault_policy = fault_policy
         self._seed = int(seed)
-        self._max_threads = max_threads
         self._threads: ThreadPoolExecutor | None = None
         self._stats_lock = threading.Lock()
         self.stats: dict[str, int] = {
@@ -576,9 +591,8 @@ class RemoteShardExecutor:
 
     def _ensure_threads(self) -> ThreadPoolExecutor:
         if self._threads is None:
-            size = self._max_threads or min(self._store.num_shards, 16)
             self._threads = ThreadPoolExecutor(
-                max_workers=max(size, 1),
+                max_workers=min(self._store.num_shards, _MAX_FANOUT_THREADS),
                 thread_name_prefix="remote-shard")
         return self._threads
 
@@ -794,8 +808,7 @@ class RemoteShardExecutor:
         worker), yet byte-reproducible run to run, which keeps fault-
         schedule tests deterministic.
         """
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * (2.0 ** exponent))
+        base = min(_MAX_BACKOFF_S, self.backoff_base_s * (2.0 ** exponent))
         token = zlib.crc32(
             f"{self._seed}:{shard}:{exponent}".encode()) / 0xFFFFFFFF
         return base * (0.5 + 0.5 * token)

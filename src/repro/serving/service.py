@@ -43,7 +43,8 @@ from ..core.serialize import load_model, save_model
 from ..hypergraph import DrugHypergraphBuilder, Hypergraph
 from ..nn import Tensor
 from ..nn.functional import stable_sigmoid
-from .cache import EmbeddingCache, ServiceStats, weights_fingerprint
+from .cache import (EmbeddingCache, ServiceStats, _context_arrays,
+                    _context_from_arrays, _npz_path, weights_fingerprint)
 from .executor import ParallelShardExecutor, exact_score_fn
 from .precision import dequantize_int8, resolve_precision
 from .remote import RemoteShardExecutor
@@ -196,9 +197,7 @@ class DDIScreeningService:
         this one without ever re-encoding the corpus.
         """
         self._ensure_fresh()
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_name(path.name + ".npz")
+        path = _npz_path(path)
         buffer = io.BytesIO()
         save_model(buffer, self._model, self._builder)
         meta = {"smiles": self._smiles,
@@ -214,12 +213,9 @@ class DDIScreeningService:
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8),
             "model_archive": np.frombuffer(buffer.getvalue(),
                                            dtype=np.uint8),
-            "num_context_layers": np.asarray(
-                self._cache.context.num_layers),
             "num_extension": np.asarray(len(self._extension_nodes)),
+            **_context_arrays(self._cache.context),
         }
-        for index, layer in enumerate(self._cache.context.layer_node_feats):
-            arrays[f"context_layer_{index}"] = layer.data
         for index, nodes in enumerate(self._extension_nodes):
             arrays[f"extension_nodes_{index}"] = nodes
         np.savez_compressed(path, **arrays)
@@ -234,13 +230,15 @@ class DDIScreeningService:
         ``manifest`` is a :meth:`save_shards` store (exact tier — a
         quantized store cannot cold-boot: its int8 pages are not the
         embedding rows), ``context`` a :meth:`save_serving_context`
-        bundle.  The catalog embeddings are *gathered from the shard
-        files* and adopted into the cache, so the corpus hypergraph is
-        never re-encoded (``stats.corpus_encodes`` stays 0); the store is
-        then attached strictly (fingerprint + catalog digest + shard
-        CRC checks all enforced), so a torn or mismatched store fails the
-        boot instead of serving wrong numbers.  Screening afterwards is
-        bitwise-identical to the warm service that wrote the artifacts.
+        bundle.  The store is opened once, as its owner (torn state
+        recovered), and checked strictly (fingerprint + catalog digest +
+        row count, then shard CRCs as the rows are read), so a torn or
+        mismatched store fails the boot instead of serving wrong numbers.
+        The catalog embeddings are *gathered from the shard files* into the
+        cache, so the corpus hypergraph is never re-encoded
+        (``stats.corpus_encodes`` stays 0), and that same store is
+        attached.  Screening afterwards is bitwise-identical to the warm
+        service that wrote the artifacts.
 
         ``workers`` (addresses for :meth:`connect_workers`) wires the
         multi-host tier in the same call; other ``kwargs`` go to the
@@ -251,10 +249,7 @@ class DDIScreeningService:
             meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
             model, builder = load_model(
                 io.BytesIO(bytes(archive["model_archive"])))
-            num_layers = int(archive["num_context_layers"])
-            encoder_context = EncoderContext(layer_node_feats=tuple(
-                Tensor(archive[f"context_layer_{index}"])
-                for index in range(num_layers)))
+            encoder_context = _context_from_arrays(archive)
             extension_nodes = [
                 np.asarray(archive[f"extension_nodes_{index}"],
                            dtype=np.int64)
@@ -289,24 +284,19 @@ class DDIScreeningService:
             raise ValueError(
                 "cold boot needs an exact (non-quantized) shard store; "
                 "int8 pages are not the embedding rows")
-        if store.num_drugs != service.num_drugs:
-            raise ValueError(
-                f"shard store covers {store.num_drugs} drugs; the serving "
-                f"context lists {service.num_drugs}")
-        fingerprint = service._fingerprint()
-        if store.fingerprint != fingerprint:
-            raise ValueError(
-                "shard store fingerprint does not match the model in the "
-                "serving context")
+        service._check_artifact("shard store", store.fingerprint,
+                                store.catalog_digest, store.num_drugs,
+                                strict=True)
         # Gathering materialises the rows in RAM (the cache needs them for
         # pair scoring and registrations) — shard CRCs are verified by
-        # open_shard on the way.
+        # open_shard on the way, once: the attached store keeps the maps.
         embeddings = np.concatenate(
             [np.asarray(store.open_shard(index).embeddings)
              for index in range(store.num_shards)],
             axis=0).astype(service._dtype, copy=False)
-        service._cache.adopt(fingerprint, encoder_context, embeddings)
-        service.open_shards(store.path, strict=True)
+        service._cache.install(store.fingerprint, encoder_context,
+                               embeddings)
+        service._attach_store(store)
         if workers:
             service.connect_workers(workers)
         return service
@@ -397,26 +387,16 @@ class DDIScreeningService:
             if strict:
                 raise
             return False
-        fingerprint = self._fingerprint()
-        if not loaded.matches(fingerprint):
-            if strict:
-                raise ValueError(
-                    "persisted cache fingerprint does not match the current "
-                    "model weights")
+        if not self._check_artifact("persisted cache", loaded.fingerprint,
+                                    loaded.catalog_digest,
+                                    len(loaded.embeddings), strict):
             return False
-        if loaded.catalog_digest != self._catalog_digest():
+        if loaded.context.num_layers != len(self._model.encoder.layers):
             if strict:
                 raise ValueError(
-                    "persisted cache was saved for a different drug catalog")
-            return False
-        if (loaded.embeddings.shape[0] != self.num_drugs
-                or loaded.context.num_layers != len(self._model.encoder.layers)):
-            if strict:
-                raise ValueError(
-                    f"persisted cache covers {loaded.embeddings.shape[0]} "
-                    f"drugs / {loaded.context.num_layers} context layers; "
-                    f"this service has {self.num_drugs} drugs / "
-                    f"{len(self._model.encoder.layers)} layers")
+                    f"persisted cache has {loaded.context.num_layers} "
+                    f"context layers; the model has "
+                    f"{len(self._model.encoder.layers)}")
             return False
         loaded.stats = self._cache.stats
         self._cache = loaded
@@ -477,8 +457,7 @@ class DDIScreeningService:
 
     def open_shards(self, path: str | Path,
                     num_workers: int | None = None,
-                    strict: bool = False,
-                    mmap_mode: str | None = "r") -> bool:
+                    strict: bool = False) -> bool:
         """Attach a :meth:`save_shards` store memory-mapped; True on success.
 
         The store is attached only if its manifest reads cleanly, its
@@ -501,29 +480,52 @@ class DDIScreeningService:
         :meth:`ShardStore.recover_dir`; the report is on
         ``service.shard_store.recovered``.
         """
+        if num_workers is not None and num_workers < 0:
+            raise ValueError("num_workers must be >= 0")
         try:
-            store = ShardStore(path, mmap_mode=mmap_mode, recover=True)
+            store = ShardStore(path, recover=True)
         except (OSError, ValueError, KeyError):
             if strict:
                 raise
             return False
         self._ensure_fresh()
-        if store.fingerprint != self._fingerprint():
-            if strict:
-                raise ValueError("shard store fingerprint does not match "
-                                 "the current model weights")
+        if not self._check_artifact("shard store", store.fingerprint,
+                                    store.catalog_digest, store.num_drugs,
+                                    strict):
             return False
-        if store.catalog_digest != self._catalog_digest():
-            if strict:
-                raise ValueError("shard store was saved for a different "
-                                 "drug catalog")
-            return False
-        if store.num_drugs != self.num_drugs:
-            if strict:
-                raise ValueError(
-                    f"shard store covers {store.num_drugs} drugs; this "
-                    f"service has {self.num_drugs}")
-            return False
+        if num_workers is not None:
+            self.num_workers = num_workers
+        self._attach_store(store)
+        return True
+
+    def _check_artifact(self, what: str, fingerprint: tuple | None,
+                        catalog_digest: str | None, num_drugs: int,
+                        strict: bool) -> bool:
+        """Whether a persisted artifact describes this service's catalog.
+
+        The one check every snapshot and store passes before it serves:
+        the weights fingerprint it was computed under, the digest of the
+        drug list its rows belong to, and its row count must all match.
+        A mismatch raises ``ValueError`` under ``strict``, else returns
+        False.
+        """
+        if fingerprint != self._fingerprint():
+            problem = (f"{what} fingerprint does not match the current "
+                       f"model weights")
+        elif catalog_digest != self._catalog_digest():
+            problem = f"{what} was saved for a different drug catalog"
+        elif num_drugs != self.num_drugs:
+            problem = (f"{what} covers {num_drugs} drugs; this service has "
+                       f"{self.num_drugs}")
+        else:
+            return True
+        if strict:
+            raise ValueError(problem)
+        return False
+
+    def _attach_store(self, store: ShardStore) -> None:
+        """Serve the candidate side from ``store``, validated against the
+        current cache."""
         self._detach_store()
         self._store = store
         self._store_version = self._cache.version
@@ -543,12 +545,7 @@ class DDIScreeningService:
             # them would force a version-bumping recompute that detaches
             # the store).
             self._cache.projections = None
-        if num_workers is not None:
-            if num_workers < 0:
-                raise ValueError("num_workers must be >= 0")
-            self.num_workers = num_workers
         self._cache.shard_manifest = str(store.path)
-        return True
 
     def _close_pool(self) -> None:
         if self._executor is not None:
@@ -685,6 +682,7 @@ class DDIScreeningService:
             self._cache.install(
                 fingerprint, detached, embeddings,
                 projections=model.candidate_projections(embeddings))
+            self._cache.stats.corpus_encodes += 1
         finally:
             model.train(was_training)
 
@@ -869,15 +867,8 @@ class DDIScreeningService:
                 # The store was saved approx-ready but the in-memory
                 # sketch precompute was released at open_shards; sketch
                 # the new rows with the store's own factors.
-                factors = self._cache.sketch_factors
-                if factors is None and "sketch" in store.projection_names:
-                    factors = store.sketch_factors()
-                if factors is None:
-                    raise ValueError("store declares a sketch projection "
-                                     "but carries no factors")
-                self._cache.sketch_factors = factors
                 proj_rows["sketch"] = self._model.decoder.sketch_candidates(
-                    proj_rows, factors)
+                    proj_rows, self._store_sketch_factors(store))
             store.append(rows, proj_rows,
                          catalog_digest=self._catalog_digest())
         except Exception:
@@ -1212,18 +1203,8 @@ class DDIScreeningService:
                                                     rank=self._sketch_rank)
             else:
                 # Building factors would bump the cache version and detach
-                # the store: take the cache's, else the store's, and stash
-                # them so later batches (and registrations) skip the
-                # manifest.
-                factors = self._cache.sketch_factors
-                if factors is None and "sketch" in store.projection_names:
-                    factors = store.sketch_factors()
-                if factors is None:
-                    raise ValueError(
-                        "attached shard store carries no prefilter sketch "
-                        f"for {type(decoder).__name__}; re-save it with "
-                        "save_shards() to serve approximate mode")
-                self._cache.sketch_factors = factors
+                # the store.
+                factors = self._store_sketch_factors(store)
             query_proj["sketch"] = kernel.sketch_queries(query_proj, factors)
         catalog = self._catalog(approx=True)
         if store is None or not store.is_quantized:
@@ -1256,6 +1237,23 @@ class DDIScreeningService:
             return emb_rows, proj_rows
 
         return catalog, prefilter, rerank_rows
+
+    def _store_sketch_factors(self, store: ShardStore) -> dict:
+        """Prefilter sketch factors for an attached store's sketch rows.
+
+        The cache's, else the store's own — stashed on the cache so later
+        batches and registrations skip the manifest.
+        """
+        factors = self._cache.sketch_factors
+        if factors is None and "sketch" in store.projection_names:
+            factors = store.sketch_factors()
+        if factors is None:
+            raise ValueError(
+                "attached shard store carries no prefilter sketch for "
+                f"{type(self._model.decoder).__name__}; re-save it with "
+                "save_shards() to serve approximate mode")
+        self._cache.sketch_factors = factors
+        return factors
 
     @staticmethod
     def _rerank(kernel, query_proj, shortlist, top_ks, two_sided,

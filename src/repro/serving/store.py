@@ -23,16 +23,20 @@ never written twice.
 
 The store is a **versioned, crash-consistent, append-only catalog**:
 
-- :meth:`append` lands new drugs as segment files without touching a byte
+- :meth:`save` writes a whole catalog: version 0 (``shard_*`` files) in a
+  fresh directory, the next version (fresh ``seg_v{N}_*`` files) in one
+  that already holds a store, so no retained version loses a file;
+  :meth:`append` lands new drugs as segment files without touching a byte
   of any existing shard file; :meth:`compact` merges accumulated segments
   into full shards; :meth:`rollback` re-commits any retained version's
   content as a new version; :meth:`gc` drops old retained versions.
-- Every mutation is staged through a write-ahead intent journal
-  (``journal.json``), then data files land via atomic temp+rename writes,
-  then a retained ``manifest.v{N}.json`` snapshot, and finally one atomic
-  ``os.replace`` of ``manifest.json`` **commits** the new version.  Catalog
-  versions increase monotonically — a rollback is a new version whose
-  content equals an old one, so readers never see version numbers reused.
+- Every mutation (``save`` included) is staged through a write-ahead
+  intent journal (``journal.json``), then data files land via atomic
+  temp+rename writes, then a retained ``manifest.v{N}.json`` snapshot, and
+  finally one atomic ``os.replace`` of ``manifest.json`` **commits** the
+  new version.  Catalog versions increase monotonically — a rollback is a
+  new version whose content equals an old one, so readers never see
+  version numbers reused.
 - Opening with ``recover=True`` (what :meth:`DDIScreeningService.open_shards
   <repro.serving.service.DDIScreeningService.open_shards>` and
   ``from_store`` do) repairs any torn state a dead writer left behind:
@@ -136,6 +140,120 @@ def _retained_name(version: int) -> str:
     return f"manifest.v{int(version):06d}.json"
 
 
+def _committed_version(root: Path) -> int:
+    """The version ``manifest.json`` under ``root`` commits (-1: none
+    readable)."""
+    try:
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        return int(manifest.get("version", 0))
+    except (OSError, ValueError, TypeError, AttributeError):
+        return -1
+
+
+def _retained_versions(root: Path) -> list[int]:
+    """Versions with a retained manifest snapshot under ``root``, ascending."""
+    found = []
+    for path in root.glob("manifest.v*.json"):
+        match = _RETAINED_RE.match(path.name)
+        if match:
+            found.append(int(match.group(1)))
+    return sorted(found)
+
+
+def _shard_layout(stem: str, embeddings: np.ndarray,
+                  projections: dict[str, np.ndarray], num_shards: int,
+                  start: int = 0) -> tuple[list[tuple[str, np.ndarray]],
+                                           list[dict]]:
+    """Split catalog rows into contiguous shard files: the one layout writer.
+
+    Rows split at the ``np.array_split`` boundaries the in-memory catalog's
+    default layout uses (empty chunks dropped), so a reopened store screens
+    shard-for-shard identically.  Shard ``i``'s files are named
+    ``stem.format(i)`` plus ``.emb.npy`` / ``.proj.<name>.npy``;
+    ``projections`` holds only the matrices to write (aliases excluded) and
+    ``start`` offsets the recorded row ranges.  Returns ``(data_files,
+    shard_specs)`` for :func:`_commit` and the manifest.
+    """
+    data_files: list[tuple[str, np.ndarray]] = []
+    specs = []
+    chunks = np.array_split(np.arange(len(embeddings), dtype=np.int64),
+                            num_shards)
+    for i, chunk in enumerate(c for c in chunks if len(c)):
+        lo, hi = int(chunk[0]), int(chunk[-1]) + 1
+        base = stem.format(i)
+        emb_file = f"{base}.emb.npy"
+        data_files.append((emb_file, embeddings[lo:hi]))
+        proj_files = {}
+        for name in sorted(projections):
+            proj_files[name] = f"{base}.proj.{name}.npy"
+            data_files.append((proj_files[name], projections[name][lo:hi]))
+        specs.append({"start": start + lo, "stop": start + hi,
+                      "embeddings": emb_file, "projections": proj_files})
+    return data_files, specs
+
+
+def _commit(root: Path, op: str, new_manifest: dict,
+            data_files: list[tuple[str, np.ndarray]],
+            crash_policy: CrashPolicy | None) -> None:
+    """Stage and atomically commit ``new_manifest`` as a new version.
+
+    The write-ahead protocol every store mutation (save included) runs,
+    with a named crash point after every durable step (``{op}.begin``
+    fires before the first one):
+
+    1. ``journal.json`` — the intent: target version, the retained
+       manifest name, and every data file about to be written.  From
+       here a dead writer is recoverable: either all listed files plus
+       the retained manifest made it (roll forward) or they did not
+       (roll back + quarantine).
+    2. each data file, via atomic temp+rename, CRC recorded;
+    3. the retained ``manifest.v{N}.json`` snapshot;
+    4. **commit point** — one atomic ``os.replace`` of ``manifest.json``;
+    5. journal deleted (a crash between 4 and 5 is already committed —
+       recovery just tidies the journal).
+
+    No in-memory store is touched; callers :meth:`ShardStore._install`
+    the new manifest only after this returns.
+    """
+    def crash(point: str) -> None:
+        if crash_policy is not None:
+            crash_policy.check(point)
+
+    target_version = int(new_manifest["version"])
+    committed = _committed_version(root)
+    if target_version <= committed:
+        # Another writer (or a re-save) moved the directory on since this
+        # writer read its manifest; committing would reuse or rewind a
+        # version and clobber that writer's retained snapshot.
+        raise RuntimeError(
+            f"{root} is at version {committed}; cannot commit version "
+            f"{target_version} from a stale store (reopen it)")
+    retained_name = _retained_name(target_version)
+    crash(f"{op}.begin")
+    journal = {
+        "format": JOURNAL_FORMAT,
+        "op": op,
+        "target_version": target_version,
+        "manifest": retained_name,
+        "files": [name for name, _ in data_files],
+    }
+    _atomic_write_text(root, JOURNAL_NAME,
+                       json.dumps(journal, indent=2, sort_keys=True))
+    crash(f"{op}.journal")
+    checksums = dict(new_manifest.get("checksums") or {})
+    for name, array in data_files:
+        checksums[name] = _atomic_save(root, name, array)
+        crash(f"{op}.file:{name}")
+    new_manifest["checksums"] = checksums
+    payload = json.dumps(new_manifest, indent=2, sort_keys=True)
+    _atomic_write_text(root, retained_name, payload)
+    crash(f"{op}.manifest")
+    _atomic_write_text(root, MANIFEST_NAME, payload)
+    crash(f"{op}.commit")
+    (root / JOURNAL_NAME).unlink()
+    crash(f"{op}.done")
+
+
 def _manifest_files(manifest: dict) -> set[str]:
     """Every data file a manifest references (shards + sketch factors)."""
     names: set[str] = set()
@@ -203,14 +321,13 @@ class ShardStore:
     recorded in :attr:`recovered`.
     """
 
-    def __init__(self, path: str | Path, mmap_mode: str | None = "r",
-                 verify_checksums: bool = True, recover: bool = False):
+    def __init__(self, path: str | Path, verify_checksums: bool = True,
+                 recover: bool = False):
         path = Path(path)
         if path.is_dir():
             path = path / MANIFEST_NAME
         self.path = path
         self.root = path.parent
-        self.mmap_mode = mmap_mode
         self.verify_checksums = verify_checksums
         # Crash-injection hook for the chaos tests: when set, every
         # journal/segment/manifest write inside a mutation passes through
@@ -290,11 +407,6 @@ class ShardStore:
         self._verified: set[str] = set()
         if not keep_opened:
             self._opened: dict[int, CatalogShard] = {}
-
-    def _crash(self, point: str) -> None:
-        policy = self.crash_policy
-        if policy is not None:
-            policy.check(point)
 
     # ------------------------------------------------------------------
     @property
@@ -427,8 +539,7 @@ class ShardStore:
         # far larger than RAM.
         for name in self._shard_files(index):
             self._verify_file(name, shard=index)
-        embeddings = np.load(self.root / spec["embeddings"],
-                             mmap_mode=self.mmap_mode)
+        embeddings = np.load(self.root / spec["embeddings"], mmap_mode="r")
         if embeddings.shape != (stop - start, self.embed_dim):
             raise ValueError(
                 f"shard {index}: {spec['embeddings']} has shape "
@@ -441,7 +552,7 @@ class ShardStore:
                 projections[name] = embeddings
             else:
                 matrix = np.load(self.root / spec["projections"][name],
-                                 mmap_mode=self.mmap_mode)
+                                 mmap_mode="r")
                 if len(matrix) != stop - start:
                     raise ValueError(
                         f"shard {index}: projection {name!r} has "
@@ -460,55 +571,6 @@ class ShardStore:
     # ------------------------------------------------------------------
     # Versioned mutation protocol
     # ------------------------------------------------------------------
-    def _commit(self, op: str, new_manifest: dict,
-                data_files: list[tuple[str, np.ndarray]]) -> None:
-        """Stage and atomically commit ``new_manifest`` as a new version.
-
-        The write-ahead protocol, with a named crash point after every
-        durable step (``{op}.begin`` fires before the first one):
-
-        1. ``journal.json`` — the intent: target version, the retained
-           manifest name, and every data file about to be written.  From
-           here a dead writer is recoverable: either all listed files plus
-           the retained manifest made it (roll forward) or they did not
-           (roll back + quarantine).
-        2. each data file, via atomic temp+rename, CRC recorded;
-        3. the retained ``manifest.v{N}.json`` snapshot;
-        4. **commit point** — one atomic ``os.replace`` of
-           ``manifest.json``;
-        5. journal deleted (a crash between 4 and 5 is already committed —
-           recovery just tidies the journal).
-
-        The in-memory store is untouched; callers :meth:`_install` the new
-        manifest only after this returns.
-        """
-        root = self.root
-        target_version = int(new_manifest["version"])
-        retained_name = _retained_name(target_version)
-        self._crash(f"{op}.begin")
-        journal = {
-            "format": JOURNAL_FORMAT,
-            "op": op,
-            "target_version": target_version,
-            "manifest": retained_name,
-            "files": [name for name, _ in data_files],
-        }
-        _atomic_write_text(root, JOURNAL_NAME,
-                           json.dumps(journal, indent=2, sort_keys=True))
-        self._crash(f"{op}.journal")
-        checksums = dict(new_manifest.get("checksums") or {})
-        for name, array in data_files:
-            checksums[name] = _atomic_save(root, name, array)
-            self._crash(f"{op}.file:{name}")
-        new_manifest["checksums"] = checksums
-        payload = json.dumps(new_manifest, indent=2, sort_keys=True)
-        _atomic_write_text(root, retained_name, payload)
-        self._crash(f"{op}.manifest")
-        _atomic_write_text(root, MANIFEST_NAME, payload)
-        self._crash(f"{op}.commit")
-        (root / JOURNAL_NAME).unlink()
-        self._crash(f"{op}.done")
-
     def _copy_manifest(self) -> dict:
         """A mutation-safe deep copy of the current manifest."""
         return json.loads(json.dumps(self.manifest))
@@ -564,25 +626,19 @@ class ShardStore:
                         f"projection {name!r} has {len(projections[name])} "
                         f"rows for {len(embeddings)} appended drugs")
             new_version = self.version + 1
-            start, stop = self._num_drugs, self._num_drugs + len(embeddings)
-            emb_file = f"seg_v{new_version:06d}.emb.npy"
-            data_files: list[tuple[str, np.ndarray]] = [(emb_file,
-                                                         embeddings)]
-            proj_files: dict[str, str] = {}
-            for name in sorted(expected - aliases):
-                file_name = f"seg_v{new_version:06d}.proj.{name}.npy"
-                proj_files[name] = file_name
-                data_files.append((file_name,
-                                   np.asarray(projections[name])))
+            data_files, segment = _shard_layout(
+                f"seg_v{new_version:06d}", embeddings,
+                {name: np.asarray(projections[name])
+                 for name in expected - aliases},
+                num_shards=1, start=self._num_drugs)
             new_manifest = self._copy_manifest()
             new_manifest["version"] = new_version
-            new_manifest["num_drugs"] = stop
+            new_manifest["num_drugs"] = self._num_drugs + len(embeddings)
             if catalog_digest is not None:
                 new_manifest["catalog_digest"] = catalog_digest
-            new_manifest["shards"] = new_manifest["shards"] + [
-                {"start": start, "stop": stop, "embeddings": emb_file,
-                 "projections": proj_files}]
-            self._commit("append", new_manifest, data_files)
+            new_manifest["shards"] = new_manifest["shards"] + segment
+            _commit(self.root, "append", new_manifest, data_files,
+                    self.crash_policy)
             # Existing shard indices (and their mmaps) are untouched by an
             # append, so the open-shard memo survives; the verify memo
             # never does (satellite of the crash-safety contract).
@@ -624,30 +680,16 @@ class ShardStore:
             merged = {name: np.concatenate(parts, axis=0)
                       for name, parts in proj_parts.items()}
             new_version = self.version + 1
-            chunks = [c for c in np.array_split(
-                np.arange(len(embeddings), dtype=np.int64), num_shards)
-                if len(c)]
-            data_files: list[tuple[str, np.ndarray]] = []
-            shard_specs = []
-            for i, chunk in enumerate(chunks):
-                lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-                emb_file = f"seg_v{new_version:06d}_{i:05d}.emb.npy"
-                data_files.append((emb_file, embeddings[lo:hi]))
-                proj_files = {}
-                for name in names:
-                    file_name = (f"seg_v{new_version:06d}_{i:05d}"
-                                 f".proj.{name}.npy")
-                    data_files.append((file_name, merged[name][lo:hi]))
-                    proj_files[name] = file_name
-                shard_specs.append({"start": lo, "stop": hi,
-                                    "embeddings": emb_file,
-                                    "projections": proj_files})
+            data_files, shard_specs = _shard_layout(
+                f"seg_v{new_version:06d}_{{:05d}}", embeddings, merged,
+                num_shards)
             new_manifest = self._copy_manifest()
             new_manifest["version"] = new_version
             new_manifest["shards"] = shard_specs
             if catalog_digest is not None:
                 new_manifest["catalog_digest"] = catalog_digest
-            self._commit("compact", new_manifest, data_files)
+            _commit(self.root, "compact", new_manifest, data_files,
+                    self.crash_policy)
             self._install(new_manifest)
             return new_version
 
@@ -680,18 +722,14 @@ class ShardStore:
             new_version = self.version + 1
             new_manifest = json.loads(json.dumps(target))
             new_manifest["version"] = new_version
-            self._commit("rollback", new_manifest, [])
+            _commit(self.root, "rollback", new_manifest, [],
+                    self.crash_policy)
             self._install(new_manifest)
             return new_version
 
     def versions(self) -> list[int]:
         """Retained catalog versions, ascending (rollback targets)."""
-        found = []
-        for path in self.root.glob("manifest.v*.json"):
-            match = _RETAINED_RE.match(path.name)
-            if match:
-                found.append(int(match.group(1)))
-        return sorted(found)
+        return _retained_versions(self.root)
 
     def manifest_for(self, version: int) -> dict:
         """The retained manifest snapshot of ``version``."""
@@ -804,14 +842,7 @@ class ShardStore:
             journal_path.unlink()
             report["action"] = "roll-back"
             return report
-        current_version = -1
-        manifest_path = root / MANIFEST_NAME
-        if manifest_path.exists():
-            try:
-                current = json.loads(manifest_path.read_text())
-                current_version = int(current.get("version", 0))
-            except (ValueError, TypeError):
-                pass
+        current_version = _committed_version(root)
         if current_version >= target:
             # The atomic rename (the commit point) happened; the crash was
             # between commit and journal cleanup.
@@ -875,9 +906,13 @@ class ShardStore:
         whose matrix *is* the embedding matrix (the dot decoder's identity
         precompute) are recorded as aliases, not written twice.
 
-        The store starts at catalog version 0, with the version-0 manifest
-        retained alongside ``manifest.json`` so later :meth:`rollback`
-        calls can restore the initial catalog.
+        Saving is a journaled mutation like :meth:`append`: it commits
+        through the same write-ahead protocol, and recovers any torn state
+        a dead writer left in the directory first.  A fresh directory
+        starts at catalog version 0 with ``shard_*`` files.  Saving into a
+        directory that already holds a store commits the *next* version
+        with fresh ``seg_v{N}_*`` files, so every retained version keeps
+        its files and stays a valid :meth:`rollback` target.
 
         ``quantize="int8"`` stores every matrix as symmetric per-column-
         scaled int8 codes (scales ride the manifest), shrinking the store
@@ -913,57 +948,40 @@ class ShardStore:
 
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
+        cls.recover_dir(root)
+        version = max([_committed_version(root),
+                       *_retained_versions(root)]) + 1
+        if version == 0:
+            shard_stem, sketch_stem = "shard_{:05d}", "sketch"
+        else:
+            shard_stem = f"seg_v{version:06d}_{{:05d}}"
+            sketch_stem = f"seg_v{version:06d}.sketch"
+        stored_emb = embeddings
+        stored_proj = {name: matrix for name, matrix in projections.items()
+                       if name not in aliases}
         quantization = None
-        stored_emb, stored_proj = embeddings, projections
         if quantize == "int8":
             stored_emb, emb_scales = quantize_int8(embeddings)
-            stored_proj, proj_scales = {}, {}
-            for name, matrix in projections.items():
-                if name in aliases:
-                    stored_proj[name] = stored_emb
-                    continue
+            proj_scales = {}
+            for name, matrix in stored_proj.items():
                 stored_proj[name], scales = quantize_int8(matrix)
                 proj_scales[name] = scales.tolist()
             quantization = {"scheme": "int8",
                             "scales": {"embeddings": emb_scales.tolist(),
                                        "projections": proj_scales}}
-        chunks = [c for c in np.array_split(
-            np.arange(len(embeddings), dtype=np.int64), num_shards)
-            if len(c)]
-        # Every array is written atomically (temp + os.replace) and its
-        # CRC32 recorded, so a crash mid-save can never leave readable but
-        # half-written shard files, and a torn file written any other way
-        # is detected on open instead of silently mis-scoring.
-        checksums: dict[str, int] = {}
-        shard_specs = []
-        for i, chunk in enumerate(chunks):
-            lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-            emb_file = f"shard_{i:05d}.emb.npy"
-            checksums[emb_file] = _atomic_save(root, emb_file,
-                                               stored_emb[lo:hi])
-            proj_files = {}
-            for name in projections:
-                if name in aliases:
-                    continue
-                proj_file = f"shard_{i:05d}.proj.{name}.npy"
-                checksums[proj_file] = _atomic_save(
-                    root, proj_file, stored_proj[name][lo:hi])
-                proj_files[name] = proj_file
-            shard_specs.append({"start": lo, "stop": hi,
-                                "embeddings": emb_file,
-                                "projections": proj_files})
+        data_files, shard_specs = _shard_layout(shard_stem, stored_emb,
+                                                stored_proj, num_shards)
         sketch_spec = None
         if sketch_factors is not None:
-            sketch_spec = {"mean": "sketch.mean.npy",
-                           "components": "sketch.components.npy"}
+            keys = ["mean", "components"]
             if sketch_factors.get("std") is not None:
-                sketch_spec["std"] = "sketch.std.npy"
-            for key, file_name in sketch_spec.items():
-                checksums[file_name] = _atomic_save(root, file_name,
-                                                    sketch_factors[key])
+                keys.append("std")
+            sketch_spec = {key: f"{sketch_stem}.{key}.npy" for key in keys}
+            data_files += [(sketch_spec[key], sketch_factors[key])
+                           for key in keys]
         manifest = {
             "format": STORE_FORMAT,
-            "version": 0,
+            "version": version,
             "fingerprint": (_fingerprint_to_json(fingerprint)
                             if fingerprint is not None else None),
             "catalog_digest": catalog_digest,
@@ -976,16 +994,8 @@ class ShardStore:
             "shards": shard_specs,
             "quantization": quantization,
             "sketch_factors": sketch_spec,
-            "checksums": checksums,
         }
-        payload = json.dumps(manifest, indent=2, sort_keys=True)
-        # The manifest is written last and renamed into place atomically:
-        # a crash at any earlier point leaves either no manifest or the
-        # previous complete one — never a manifest pointing at missing or
-        # partial shard files.  The retained version-0 snapshot lands
-        # first so the committed state is always rollback-complete.
-        _atomic_write_text(root, _retained_name(0), payload)
-        _atomic_write_text(root, MANIFEST_NAME, payload)
+        _commit(root, "save", manifest, data_files, crash_policy=None)
         return root / MANIFEST_NAME
 
 

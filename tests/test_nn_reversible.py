@@ -96,6 +96,46 @@ class TestInvertibleCheckpoint:
         for got, ref in zip(ckpt_grads, (x0, w1, w2)):
             np.testing.assert_allclose(got, ref.grad, rtol=1e-9, atol=1e-12)
 
+    def test_repeated_backward_accumulates_exactly(self, rng):
+        w1, w2, x0, fn, fn_inverse = self._setup(rng)
+        mid = F.invertible_checkpoint(fn, fn_inverse, x0, (w1, w2))
+        loss = (F.invertible_checkpoint(fn, fn_inverse, mid, (w1, w2))
+                ** 2).sum()
+        loss.backward()
+        once = [t.grad.copy() for t in (x0, w1, w2)]
+        loss.backward()
+        loss.backward()
+        for got, ref in zip((x0, w1, w2), once):
+            np.testing.assert_allclose(got.grad, 3.0 * ref,
+                                       rtol=1e-9, atol=1e-12)
+
+    def test_captured_activation_gradient_flows_once(self, rng):
+        # A captured non-leaf (the encoder's dropped stem) reaches its own
+        # ancestors through the outer graph only: the recompute neither
+        # propagates into nor resets them.
+        w1, w2, x0, _, _ = self._setup(rng)
+        base = Tensor(rng.normal(size=w1.shape), requires_grad=True)
+
+        def build(checkpointed):
+            scaled = base * 2.0
+            fn, fn_inverse = _coupling_pair(scaled, w2, self.HALF)
+            mid = x0 * 1.0
+            out = (F.invertible_checkpoint(fn, fn_inverse, mid,
+                                           (scaled, w2))
+                   if checkpointed else fn(mid))
+            return ((out ** 2).sum() + (scaled ** 2).sum())
+
+        grads = {}
+        for checkpointed in (False, True):
+            for t in (x0, w2, base):
+                t.grad = None
+            loss = build(checkpointed)
+            loss.backward()
+            loss.backward()
+            grads[checkpointed] = [t.grad.copy() for t in (x0, w2, base)]
+        for got, ref in zip(grads[True], grads[False]):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
     def test_intermediate_input_freed_then_restored(self, rng):
         w1, w2, x0, fn, fn_inverse = self._setup(rng)
         mid = F.invertible_checkpoint(fn, fn_inverse, x0, (w1, w2))

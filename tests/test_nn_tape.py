@@ -111,6 +111,19 @@ class TestTapeMechanics:
         for tape_grad, param in zip(tape_grads, params):
             assert np.array_equal(tape_grad, param.grad)
 
+    def test_backward_resets_gradients_per_call(self):
+        # Unlike eager backward, a tape backward zero-fills every gradient
+        # buffer (parameters included) first: a second call reproduces
+        # the first instead of accumulating.  The trainer's encoder sync
+        # relies on this reset.
+        build, params = _make_graph()
+        tape = Tape.record(build)
+        tape.backward()
+        first = [p.grad.copy() for p in params]
+        tape.backward()
+        for grad, param in zip(first, params):
+            assert np.array_equal(grad, param.grad)
+
     def test_rejects_hand_rolled_closure_ops(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
 

@@ -151,6 +151,17 @@ class TestBackwardBasics:
         out2.backward()
         np.testing.assert_allclose(t.grad, [5.0])
 
+    def test_repeated_backward_accumulates_leaves_exactly(self):
+        # A non-leaf grad left from an earlier call must not be propagated
+        # again: three calls give 3, 6, 9 (not 3, 15, 45).
+        w = Tensor([1.0], requires_grad=True)
+        loss = ((w * 3.0) * 1.0).sum()
+        seen = []
+        for _ in range(3):
+            loss.backward()
+            seen.append(float(w.grad[0]))
+        assert seen == [3.0, 6.0, 9.0]
+
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
         (t * 2).sum().backward()

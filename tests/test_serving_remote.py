@@ -11,9 +11,11 @@ torn shard files — the merged top-k is either bitwise-identical to the
 serial in-memory engine or an explicit error; never silently wrong.
 """
 
+import json
 import os
 import signal
 import socket
+import struct
 import sys
 import time
 
@@ -21,6 +23,8 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
@@ -33,7 +37,8 @@ from repro.serving import (CircuitBreaker, DDIScreeningService,
                            ScreeningGateway, ShardIntegrityError, ShardStore,
                            ShardWorker, corrupt_payload, exact_score_fn,
                            recv_message, send_message)
-from repro.serving.remote import _flatten_arrays, _unflatten_arrays
+from repro.serving.remote import (PROTOCOL, _flatten_arrays,
+                                  _unflatten_arrays)
 from repro.serving.shards import validate_shard_results
 
 
@@ -145,6 +150,55 @@ class TestFraming:
         pipe.buffer.extend(b"\x00\x00\x00\x04notj")
         with pytest.raises(FrameError):
             recv_message(pipe)
+
+    @pytest.mark.parametrize("dtype, shape, match", [
+        ("|O", [2], "not a numeric"),
+        ("<f8", [-3], "not a numeric"),
+        ("<f8", [2 ** 40], "frame limit"),
+        ("<f8", [2 ** 40, 2 ** 40], "frame limit"),
+    ])
+    def test_hostile_array_spec_raises_frame_error(self, dtype, shape,
+                                                   match):
+        header = json.dumps({"protocol": PROTOCOL,
+                             "arrays": [["a", dtype, shape]],
+                             "crc32": 0}).encode()
+        pipe = _Pipe()
+        pipe.buffer.extend(struct.pack("!I", len(header)) + header)
+        with pytest.raises(FrameError, match=match):
+            recv_message(pipe)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_frames_fail_only_as_frame_or_eof(self, data):
+        """Bit flips, truncation and spliced headers of valid frames are
+        rejected as FrameError or EOFError, never any other exception."""
+        frames = []
+        for arrays in ({"a": np.arange(6, dtype=np.int64).reshape(2, 3),
+                        "as_left/g": np.linspace(0, 1, 4)},
+                       {"flag": np.array([True, False]),
+                        "f": np.ones((1, 2), dtype=np.float32)}):
+            pipe = _Pipe()
+            send_message(pipe, {"op": "screen", "meta": {"shard": 1}},
+                         arrays)
+            frames.append(bytes(pipe.buffer))
+        raw = bytearray(data.draw(st.sampled_from(frames)))
+        mutation = data.draw(st.sampled_from(["flip", "truncate", "splice"]))
+        if mutation == "flip":
+            for _ in range(data.draw(st.integers(1, 4))):
+                at = data.draw(st.integers(0, len(raw) - 1))
+                raw[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif mutation == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            other = data.draw(st.sampled_from(frames))
+            cut = data.draw(st.integers(0, len(raw)))
+            raw = raw[:cut] + other[data.draw(st.integers(0, len(other))):]
+        pipe = _Pipe()
+        pipe.buffer.extend(raw)
+        try:
+            recv_message(pipe)
+        except (FrameError, EOFError):
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +752,36 @@ class TestColdBoot:
         foreign_context = other.save_serving_context(tmp_path / "foreign")
         with pytest.raises(ValueError):
             DDIScreeningService.from_store(manifest, foreign_context)
+
+    def test_cold_boot_opens_the_store_once(self, booted, monkeypatch):
+        """from_store + one screen recovers the directory once and
+        CRC-reads each shard file once: the store it verified is the store
+        it attaches."""
+        from collections import Counter
+        from repro.serving import store as store_module
+        _, _, manifest, context = booted
+        recoveries, crc_reads = [], Counter()
+        recover_dir = store_module.ShardStore.recover_dir
+        crc32_file = store_module._crc32_file
+
+        def counting_recover(root):
+            recoveries.append(root)
+            return recover_dir(root)
+
+        def counting_crc(path):
+            crc_reads[path.name] += 1
+            return crc32_file(path)
+
+        monkeypatch.setattr(store_module.ShardStore, "recover_dir",
+                            staticmethod(counting_recover))
+        monkeypatch.setattr(store_module, "_crc32_file", counting_crc)
+        cold = DDIScreeningService.from_store(manifest, context)
+        cold.screen(0, top_k=3)
+        store = cold.shard_store
+        assert len(recoveries) == 1
+        assert crc_reads == Counter(
+            name for index in range(store.num_shards)
+            for name in store._shard_files(index))
 
     def test_pair_scores_and_registration_still_work(self, booted):
         # Runs last in the class: registration grows both catalogs, so

@@ -250,6 +250,83 @@ class TestAppendOnly:
                 _screen_store(store, decoder, queries),
                 _screen_memory(decoder, contents[target], queries))
 
+    def test_resave_commits_next_version_and_keeps_retained_ones(
+            self, tmp_path):
+        """save -> append -> compact -> save again into the same directory:
+        the second save is the next version, and every retained version
+        still rolls back to its own rows with clean shard files."""
+        decoder, emb, proj = _synthetic(n=20)
+        root = tmp_path / "s"
+        store = ShardStore(ShardStore.save(root, emb, proj, num_shards=2))
+        rows = np.random.default_rng(5).standard_normal((4, emb.shape[1]))
+        store.append(rows, store_projections(store, decoder, rows))
+        store.compact(num_shards=2)
+        combined = np.concatenate([emb, rows], axis=0)
+        fresh = emb[::-1] * 0.5
+        ShardStore.save(root, fresh, decoder.candidate_projections(fresh),
+                        num_shards=3)
+        store = ShardStore(root)
+        contents = {0: emb, 1: combined, 2: combined, 3: fresh}
+        assert store.version == 3 and store.versions() == [0, 1, 2, 3]
+        queries = emb[[0, 3]]
+        for version in store.versions():
+            store.rollback(version)
+            assert store.verify() == [] and not store.quarantined
+            assert _same_screens(
+                _screen_store(store, decoder, queries),
+                _screen_memory(decoder, contents[version], queries))
+        assert max(store.versions()) == store.version
+
+    def test_stale_store_cannot_commit_over_a_newer_version(self,
+                                                             tmp_path):
+        decoder, emb, proj = _synthetic(n=12)
+        root = tmp_path / "s"
+        stale = ShardStore(ShardStore.save(root, emb, proj))
+        fresh = emb * 2.0
+        ShardStore.save(root, fresh, decoder.candidate_projections(fresh))
+        rows = emb[:2] + 1.0
+        with pytest.raises(RuntimeError, match="stale store"):
+            stale.append(rows, store_projections(stale, decoder, rows))
+        store = ShardStore(root)
+        assert store.version == 1 and store.versions() == [0, 1]
+        assert not (root / JOURNAL_NAME).exists()
+        assert store.verify(strict=True) == []
+        queries = emb[[0, 5]]
+        assert _same_screens(_screen_store(store, decoder, queries),
+                             _screen_memory(decoder, fresh, queries))
+
+    def test_interrupted_resave_rolls_back(self, tmp_path, monkeypatch):
+        """A save into an existing store is journaled like any mutation: a
+        writer dying after its first data file leaves the previous version
+        committed, intact and recoverable."""
+        from repro.serving import store as store_module
+        decoder, emb, proj = _synthetic(n=12)
+        root = tmp_path / "s"
+        ShardStore.save(root, emb, proj, num_shards=2)
+        written = []
+        original = store_module._atomic_save
+
+        def dying_save(directory, name, array):
+            if written:
+                raise CrashPoint(f"save.file:{name}")
+            written.append(name)
+            return original(directory, name, array)
+
+        monkeypatch.setattr(store_module, "_atomic_save", dying_save)
+        fresh = emb * 2.0
+        with pytest.raises(CrashPoint):
+            ShardStore.save(root, fresh, decoder.candidate_projections(fresh),
+                            num_shards=2)
+        monkeypatch.undo()
+        survivor = ShardStore(root, recover=True)
+        assert survivor.recovered["action"] == "roll-back"
+        assert survivor.recovered["orphans"] == written
+        assert survivor.version == 0 and survivor.versions() == [0]
+        assert survivor.verify(strict=True) == []
+        queries = emb[[1, 2]]
+        assert _same_screens(_screen_store(survivor, decoder, queries),
+                             _screen_memory(decoder, emb, queries))
+
     def test_versions_are_monotonic_and_retained(self, tmp_path):
         decoder, emb, proj = _synthetic(n=10)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj))
